@@ -1,6 +1,6 @@
 # Tier-1: the checks every change must keep green. See TESTING.md for the
 # full tier ladder.
-.PHONY: all build test bench bench-json bench-check ci ci-full fuzz-smoke fuzz-smoke-faults trace-smoke monitor-smoke fault-smoke fleet-smoke tune-smoke incident-smoke
+.PHONY: all build test bench bench-json bench-check ci ci-full fuzz-smoke fuzz-smoke-faults trace-smoke monitor-smoke fault-smoke fleet-smoke tune-smoke incident-smoke perfbench-test
 
 all: build test
 
@@ -26,6 +26,15 @@ bench-json:
 # CI. See TESTING.md for the noise/regeneration workflow.
 bench-check:
 	./scripts/bench-check.sh
+
+# Repository benchmark self-tests (perfbench/, its own Go module): metric
+# names match BENCHMARK.json, short runs of every workload pass their output
+# checks, and the digest pins hold. Same environment as perfbench/run.sh:
+# offline, local toolchain, caches under .bench_build. Part of tier-2 CI.
+perfbench-test:
+	@set -e; out="$$(pwd)/.bench_build"; mkdir -p "$$out"; \
+	cd perfbench && GOCACHE="$$out/gocache" GOMODCACHE="$$out/gomodcache" GOFLAGS= \
+		GOWORK=off GOTOOLCHAIN=local GOPROXY=off XDG_CONFIG_HOME="$$out/config" go test ./...
 
 # Tier-2: vet + race detector, including the parallel experiment fan-out.
 ci:

@@ -72,13 +72,7 @@ func runFleet(kind fleet.OpKind, opts FigFleetOptions) FleetResult {
 	if trials == 0 {
 		trials = 5
 	}
-	pressures := []float64{0.3, 0.6, 0.8, 0.88, 0.95, 1.02, 1.1}
-	// The two controller curves are independent micro-simulation sweeps.
-	curveKinds := []string{KindIOLatency, KindIOCost}
-	curves := ForEach(2, func(i int) fleet.Curve {
-		return fleet.MeasureCurve(hostFactory(curveKinds[i]), kind, pressures, trials, 0x18+uint64(i))
-	})
-	old, new_ := curves[0], curves[1]
+	old, new_ := MeasuredFleetCurves(kind, trials)
 	weekly := fleet.MigrationSweep(old, new_, fleet.MigrationConfig{
 		Hosts: opts.Hosts, Seed: 0x181,
 	})

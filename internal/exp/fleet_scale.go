@@ -105,6 +105,10 @@ func FleetScale(kind fleet.OpKind, opts FleetScaleOptions) (*fleet.Summary, erro
 	return fleet.RunCluster(cfg)
 }
 
+// curvePressures are the main-workload pressures the measured failure
+// curves sample.
+var curvePressures = []float64{0.3, 0.6, 0.8, 0.88, 0.95, 1.02, 1.1}
+
 // MeasuredFleetCurves derives the old- and new-controller failure curves
 // from live per-host micro-simulations (the Figs 18/19 methodology), for
 // callers that want measured rather than canned cluster inputs. Trials <= 0
@@ -113,10 +117,10 @@ func MeasuredFleetCurves(kind fleet.OpKind, trials int) (old, new_ fleet.Curve) 
 	if trials <= 0 {
 		trials = 3
 	}
-	pressures := []float64{0.3, 0.6, 0.8, 0.88, 0.95, 1.02, 1.1}
+	// The two controller curves are independent micro-simulation sweeps.
 	curveKinds := []string{KindIOLatency, KindIOCost}
 	curves := ForEach(2, func(i int) fleet.Curve {
-		return fleet.MeasureCurve(hostFactory(curveKinds[i]), kind, pressures, trials, 0x18+uint64(i))
+		return fleet.MeasureCurve(hostFactory(curveKinds[i]), kind, curvePressures, trials, 0x18+uint64(i))
 	})
 	return curves[0], curves[1]
 }

@@ -84,10 +84,17 @@ func specFor(kind OpKind) opSpec {
 	}
 }
 
+// runStep is the engine step while RunOp waits for the operation to finish
+// or its deadline to pass.
+const runStep = 10 * sim.Millisecond
+
 // RunOp executes one operation on a freshly built host whose main workload
 // exerts the given pressure (fraction of device random-read capacity plus
-// proportional write load). It returns the operation's completion time, or
-// a value beyond the deadline if it did not finish in the simulated window.
+// proportional write load). It returns the operation's completion time and
+// true if it finished within the deadline; otherwise it returns the 3x
+// deadline timeout the fleet records for a failed operation, and false.
+// The micro-simulation stops as soon as the outcome is known: when the
+// operation completes, or once its deadline has passed.
 func RunOp(factory HostFactory, kind OpKind, pressure float64, seed uint64) (sim.Time, bool) {
 	eng := sim.New()
 	h := factory(eng, seed)
@@ -96,15 +103,14 @@ func RunOp(factory HostFactory, kind OpKind, pressure float64, seed uint64) (sim
 	// Main workload pressure: open-loop random reads plus buffered
 	// writes scaled to the requested fraction of device capability.
 	job := h.Workload.NewChild("job", cgroup.DefaultWeight)
-	rd := workload.NewReplayer(h.Q, job, workload.DemandProfile{
+	workload.NewReplayer(h.Q, job, workload.DemandProfile{
 		Name:          "pressure",
 		ReadBps:       pressure * 450e6,
 		WriteBps:      pressure * 120e6,
 		ReadRandFrac:  0.8,
 		WriteRandFrac: 0.3,
 		IOSize:        16 << 10,
-	}, 0, seed^0xf1ee7)
-	rd.Start()
+	}, 0, seed^0xf1ee7).Start()
 
 	// Let contention establish.
 	eng.RunUntil(500 * sim.Millisecond)
@@ -121,6 +127,15 @@ func RunOp(factory HostFactory, kind OpKind, pressure float64, seed uint64) (sim
 	issued, completed := 0, 0
 	rnd := rng.Derive(seed, 0x09)
 	var pump func()
+	onDone := func(*bio.Bio) {
+		completed++
+		if completed == spec.chunks {
+			finished = eng.Now() - start
+			done = true
+			return
+		}
+		pump()
+	}
 	pump = func() {
 		for issued-completed < spec.window && issued < spec.chunks {
 			op := spec.op
@@ -132,29 +147,26 @@ func RunOp(factory HostFactory, kind OpKind, pressure float64, seed uint64) (sim
 				off = int64(1)<<41 + rnd.Int63n(1<<30)
 			}
 			issued++
-			h.Q.Submit(&bio.Bio{
-				Op: op, Flags: spec.flags, Off: off, Size: spec.chunk, CG: agent,
-				OnDone: func(*bio.Bio) {
-					completed++
-					if completed == spec.chunks {
-						finished = eng.Now() - start
-						done = true
-						return
-					}
-					pump()
-				},
-			})
+			b := h.Q.BioPool().Get()
+			b.Op = op
+			b.Flags = spec.flags
+			b.Off = off
+			b.Size = spec.chunk
+			b.CG = agent
+			b.OnDone = onDone
+			h.Q.Submit(b)
 		}
 	}
 	pump()
 
-	// Simulate up to 3x the deadline.
-	eng.RunUntil(start + 3*spec.deadline)
-	rd.Stop()
+	end := start + spec.deadline
+	for !done && eng.Now() < end {
+		eng.RunUntil(min(eng.Now()+runStep, end))
+	}
 	if !done {
 		return 3 * spec.deadline, false
 	}
-	return finished, finished <= spec.deadline
+	return finished, true
 }
 
 // Curve maps workload pressure to operation failure probability.

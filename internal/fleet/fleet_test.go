@@ -34,11 +34,18 @@ func TestRunOpCompletesOnIdleHost(t *testing.T) {
 	}
 }
 
+// TestPressureSlowsOps checks both RunOp outcomes: a lightly loaded fetch
+// finishes in time and returns its completion time, while a saturated
+// uncontrolled host starves it past the deadline and RunOp records the 3x
+// deadline timeout.
 func TestPressureSlowsOps(t *testing.T) {
-	light, _ := fleet.RunOp(passthroughHost, fleet.PackageFetch, 0.1, 7)
-	heavy, _ := fleet.RunOp(passthroughHost, fleet.PackageFetch, 1.05, 7)
-	if heavy <= light {
-		t.Errorf("pressure did not slow the fetch: light=%v heavy=%v", light, heavy)
+	light, ok := fleet.RunOp(passthroughHost, fleet.PackageFetch, 0.1, 7)
+	if !ok || light <= 0 || light > 10*sim.Second {
+		t.Errorf("light fetch: got %v ok=%v, want a completion within the 10s deadline", light, ok)
+	}
+	heavy, ok := fleet.RunOp(passthroughHost, fleet.PackageFetch, 1.05, 7)
+	if ok || heavy != 30*sim.Second {
+		t.Errorf("saturated fetch: got %v ok=%v, want the 30s timeout and ok=false", heavy, ok)
 	}
 }
 

@@ -179,6 +179,15 @@ func (h *fleetHost) startProbe(p fleet.OpProbe, st *probeState, base int64, epoc
 		flags = bio.Sync
 	}
 	var pump func()
+	onDone := func(*bio.Bio) {
+		st.completed++
+		if st.completed == p.Chunks {
+			st.done = true
+			st.lat = eng.Now() - st.start
+			return
+		}
+		pump()
+	}
 	pump = func() {
 		if h.epoch != epoch {
 			return
@@ -193,18 +202,14 @@ func (h *fleetHost) startProbe(p fleet.OpProbe, st *probeState, base int64, epoc
 				off = base + h.r.Int63n(1<<30)
 			}
 			st.issued++
-			h.m.Q.Submit(&bio.Bio{
-				Op: op, Flags: flags, Off: off, Size: p.Chunk, CG: h.probeCG,
-				OnDone: func(*bio.Bio) {
-					st.completed++
-					if st.completed == p.Chunks {
-						st.done = true
-						st.lat = eng.Now() - st.start
-						return
-					}
-					pump()
-				},
-			})
+			b := h.m.Q.BioPool().Get()
+			b.Op = op
+			b.Flags = flags
+			b.Off = off
+			b.Size = p.Chunk
+			b.CG = h.probeCG
+			b.OnDone = onDone
+			h.m.Q.Submit(b)
 		}
 	}
 	pump()
@@ -245,8 +250,11 @@ func (h *fleetHost) Tick(env fleet.HostTickEnv, acc *fleet.Summary) fleet.HostTi
 	}
 	eng.RunUntil(start + window)
 
-	// Grace: probes are judged at 3x their scaled deadline, the same
-	// timeout envelope fleet.RunOp gives the unscaled operation.
+	// Grace: wait out probes up to 3x their scaled deadline. A probe still
+	// running then is recorded at that 3x timeout, the same value
+	// fleet.RunOp records for an unfinished operation. Unlike RunOp the
+	// window cannot end at the deadline: push and storm factors rescale
+	// the measured latency before it is judged.
 	graceEnd := start + window + 3*probe.Deadline
 	for eng.Now() < graceEnd {
 		done := true

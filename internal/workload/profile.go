@@ -49,10 +49,23 @@ type Replayer struct {
 	rnd     *rng.Source
 	randReg region
 	seqReg  region
+	read    replayStream
+	write   replayStream
 
 	ReadStats  *Stats
 	WriteStats *Stats
 	stopped    bool
+}
+
+// replayStream is one direction's open-loop arrival stream. Its gap and
+// completion callback are fixed at construction, so the arrival → submit
+// → reschedule cycle allocates nothing.
+type replayStream struct {
+	w        *Replayer
+	op       bio.Op
+	randFrac float64
+	gap      sim.Time
+	onDone   func(*bio.Bio)
 }
 
 // NewReplayer builds a profile replayer.
@@ -61,57 +74,64 @@ func NewReplayer(q *blk.Queue, cg *cgroup.Node, p DemandProfile, base int64, see
 		p.IOSize = 16 << 10
 	}
 	r := rng.Derive(seed, 0x4e4f)
-	return &Replayer{
+	w := &Replayer{
 		q: q, cg: cg, profile: p, rnd: r,
 		randReg:    region{base: base, size: 8 << 30, rnd: r.Split()},
 		seqReg:     region{base: base + (8 << 30), size: 8 << 30, rnd: r.Split()},
 		ReadStats:  newStats(),
 		WriteStats: newStats(),
 	}
+	w.read = w.newStream(bio.Read, p.ReadBps, p.ReadRandFrac, w.ReadStats)
+	w.write = w.newStream(bio.Write, p.WriteBps, p.WriteRandFrac, w.WriteStats)
+	return w
+}
+
+func (w *Replayer) newStream(op bio.Op, bps, randFrac float64, st *Stats) replayStream {
+	var gap sim.Time // 0: the direction has no demand and never starts
+	if bps > 0 {
+		gap = max(sim.Time(float64(w.profile.IOSize)/bps*1e9), 1)
+	}
+	return replayStream{w: w, op: op, randFrac: randFrac, gap: gap, onDone: st.observe}
 }
 
 // Start begins both arrival streams.
 func (w *Replayer) Start() {
-	if w.profile.ReadBps > 0 {
-		w.loop(bio.Read, w.profile.ReadBps, w.profile.ReadRandFrac)
+	if w.read.gap > 0 {
+		w.read.schedule()
 	}
-	if w.profile.WriteBps > 0 {
-		w.loop(bio.Write, w.profile.WriteBps, w.profile.WriteRandFrac)
+	if w.write.gap > 0 {
+		w.write.schedule()
 	}
 }
 
 // Stop ceases issuing.
 func (w *Replayer) Stop() { w.stopped = true }
 
-func (w *Replayer) loop(op bio.Op, bps, randFrac float64) {
+func (s *replayStream) schedule() {
+	if s.w.stopped {
+		return
+	}
+	s.w.q.Engine().AfterCall(s.gap, replayTick, s)
+}
+
+// replayTick is one arrival: submit a bio, then schedule the next arrival.
+// It is a package-level func so scheduling it stores no closure.
+func replayTick(a any) {
+	s := a.(*replayStream)
+	w := s.w
 	if w.stopped {
 		return
 	}
-	gap := sim.Time(float64(w.profile.IOSize) / bps * 1e9)
-	if gap < 1 {
-		gap = 1
+	pat, reg := Sequential, &w.seqReg
+	if w.rnd.Bool(s.randFrac) {
+		pat, reg = Random, &w.randReg
 	}
-	w.q.Engine().After(gap, func() {
-		if w.stopped {
-			return
-		}
-		pat, reg := Sequential, &w.seqReg
-		if w.rnd.Bool(randFrac) {
-			pat, reg = Random, &w.randReg
-		}
-		st := w.ReadStats
-		if op == bio.Write {
-			st = w.WriteStats
-		}
-		w.q.Submit(&bio.Bio{
-			Op:   op,
-			Off:  reg.offset(pat, w.profile.IOSize),
-			Size: w.profile.IOSize,
-			CG:   w.cg,
-			OnDone: func(b *bio.Bio) {
-				st.observe(b)
-			},
-		})
-		w.loop(op, bps, randFrac)
-	})
+	b := w.q.BioPool().Get()
+	b.Op = s.op
+	b.Off = reg.offset(pat, w.profile.IOSize)
+	b.Size = w.profile.IOSize
+	b.CG = w.cg
+	b.OnDone = s.onDone
+	w.q.Submit(b)
+	s.schedule()
 }

@@ -121,12 +121,18 @@ type TraceReplayer struct {
 
 	Stats   *Stats
 	idx     int
+	base    sim.Time // replay start; op times are offsets from it
 	stopped bool
+	// onDone is built once: with pooled bios and a package-level tick
+	// func, replaying an op allocates nothing.
+	onDone func(*bio.Bio)
 }
 
 // NewTraceReplayer builds a replayer for ops, charged to cg.
 func NewTraceReplayer(q *blk.Queue, cg *cgroup.Node, ops []TraceOp) *TraceReplayer {
-	return &TraceReplayer{q: q, cg: cg, ops: ops, Speed: 1.0, Stats: newStats()}
+	w := &TraceReplayer{q: q, cg: cg, ops: ops, Speed: 1.0, Stats: newStats()}
+	w.onDone = w.Stats.observe
+	return w
 }
 
 // Start begins replay from the current simulated time.
@@ -134,7 +140,8 @@ func (w *TraceReplayer) Start() {
 	if w.Speed == 0 {
 		w.Speed = 1.0
 	}
-	w.scheduleNext(w.q.Now())
+	w.base = w.q.Now()
+	w.scheduleNext()
 }
 
 // Stop ceases issuing.
@@ -143,29 +150,31 @@ func (w *TraceReplayer) Stop() { w.stopped = true }
 // Done reports whether the whole trace has been issued.
 func (w *TraceReplayer) Done() bool { return w.idx >= len(w.ops) }
 
-func (w *TraceReplayer) scheduleNext(base sim.Time) {
+func (w *TraceReplayer) scheduleNext() {
 	if w.stopped || w.idx >= len(w.ops) {
 		return
 	}
-	op := w.ops[w.idx]
-	at := base + sim.Time(float64(op.At)/w.Speed)
+	at := w.base + sim.Time(float64(w.ops[w.idx].At)/w.Speed)
 	if now := w.q.Now(); at < now {
 		at = now
 	}
-	w.q.Engine().At(at, func() {
-		if w.stopped {
-			return
-		}
-		w.idx++
-		w.q.Submit(&bio.Bio{
-			Op:   op.Op,
-			Off:  op.Off,
-			Size: op.Size,
-			CG:   w.cg,
-			OnDone: func(b *bio.Bio) {
-				w.Stats.observe(b)
-			},
-		})
-		w.scheduleNext(base)
-	})
+	w.q.Engine().AtCall(at, traceTick, w)
+}
+
+// traceTick issues the next trace op and schedules the one after it.
+func traceTick(a any) {
+	w := a.(*TraceReplayer)
+	if w.stopped {
+		return
+	}
+	op := &w.ops[w.idx]
+	w.idx++
+	b := w.q.BioPool().Get()
+	b.Op = op.Op
+	b.Off = op.Off
+	b.Size = op.Size
+	b.CG = w.cg
+	b.OnDone = w.onDone
+	w.q.Submit(b)
+	w.scheduleNext()
 }

@@ -1,7 +1,9 @@
 // Whole-stack allocation pin: with bio pooling, pending pooling, and the
 // event free list in place, the steady-state submit → dispatch → complete →
 // resubmit cycle must not allocate at all. This is the bio-path counterpart
-// of the engine alloc pins in internal/sim.
+// of the engine alloc pins in internal/sim. The open-loop Replayer is pinned
+// too: its arrival → submit → reschedule cycle must be as allocation-free as
+// the closed-loop workloads.
 package iocost_test
 
 import (
@@ -29,6 +31,38 @@ func TestSteadyStateZeroAllocsFlight(t *testing.T) {
 		Cap:        1 << 12,
 		CheckEvery: 5 * sim.Millisecond,
 	})
+}
+
+// TestReplayerZeroAllocs pins the open-loop path: once warm, a profile
+// Replayer driving both directions must not allocate per arrival.
+func TestReplayerZeroAllocs(t *testing.T) {
+	if check.Enabled {
+		t.Skip("sanitizer wrappers keep their own bookkeeping; alloc pin runs unsanitized")
+	}
+	spec := device.NullSSD()
+	m := exp.MustNewMachine(exp.MachineConfig{
+		Device:     exp.DeviceChoice{SSD: &spec},
+		Controller: exp.KindNone,
+		Seed:       42,
+	})
+	r := workload.NewReplayer(m.Q, m.Workload.NewChild("r", 100), workload.DemandProfile{
+		Name: "r", ReadBps: 400e6, WriteBps: 150e6, ReadRandFrac: 0.7, WriteRandFrac: 0.3,
+	}, 0, 1)
+	r.Start()
+
+	deadline := 100 * sim.Millisecond
+	m.Run(deadline)
+
+	allocs := testing.AllocsPerRun(10, func() {
+		deadline += 10 * sim.Millisecond
+		m.Run(deadline)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state open-loop replay allocates %.1f per 10ms window, want 0", allocs)
+	}
+	if r.ReadStats.Done == 0 || r.WriteStats.Done == 0 {
+		t.Fatal("replayer completed nothing; the pin measured nothing")
+	}
 }
 
 func steadyStateZeroAllocs(t *testing.T, fc *flight.Config) {

@@ -59,6 +59,11 @@ echo "== incident smoke (flight recorder bundles + Perfetto export)"
 # byte-identical incident bundles; Perfetto export must be deterministic.
 make incident-smoke
 
+echo "== perfbench self-tests (benchmark metrics, output checks, digest pins)"
+# The repository benchmark is its own module, outside go test ./...; its
+# self-tests run every workload briefly and hold the output digests.
+make perfbench-test
+
 echo "== cmd exit codes (errors must exit non-zero)"
 # Every tool must fail loudly on bad input; a zero exit here is a
 # regression that silently greenlights broken CI pipelines.
