@@ -105,8 +105,9 @@ fault-smoke:
 # counts (serial, 4, 16) must produce byte-identical summaries — the
 # worker-count-invariance contract of internal/fleet, end to end through the
 # CLI — and the streaming aggregation must hold retained memory bounded
-# (TestClusterBoundedMemory compares 2k- vs 32k-host retained heap). Part of
-# tier-2 CI.
+# (TestClusterBoundedMemory compares 2k- vs 32k-host retained heap) and
+# allocate nothing per host (TestClusterAllocsPerHost compares 2k- vs
+# 32k-host allocation counts). Part of tier-2 CI.
 fleet-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	go build -o "$$dir/iocost-fleet" ./cmd/iocost-fleet; \
@@ -118,7 +119,7 @@ fleet-smoke:
 	"$$dir/iocost-fleet" -hosts 100000 -seed 7 -workers 4 -mode openmetrics -o "$$dir/w4.om"; \
 	"$$dir/iocost-fleet" -hosts 100000 -seed 7 -workers 16 -mode openmetrics -o "$$dir/w16.om"; \
 	cmp "$$dir/w4.om" "$$dir/w16.om"; \
-	go test ./internal/fleet -run TestClusterBoundedMemory -count=1 >/dev/null; \
+	go test ./internal/fleet -run 'TestClusterAllocsPerHost|TestClusterBoundedMemory' -count=1 >/dev/null; \
 	"$$dir/iocost-fleet" -hosts 10000 -seed 7 -fidelity sampled -sample-frac 0.01 -workers 1 -o "$$dir/s1.txt"; \
 	"$$dir/iocost-fleet" -hosts 10000 -seed 7 -fidelity sampled -sample-frac 0.01 -workers 4 -o "$$dir/s4.txt"; \
 	cmp "$$dir/s1.txt" "$$dir/s4.txt"; \

@@ -56,8 +56,13 @@ func (c *Controller) donate() int {
 	}
 
 	// Identify donors among cgroups that issued IO and compute their
-	// post-donation hweight targets.
-	nodes := make(map[*cgroup.Node]*donorInfo)
+	// post-donation hweight targets. The scratch map and root list are
+	// the controller's, cleared rather than rebuilt each period.
+	clear(c.donorNodes)
+	if c.donorNodes == nil {
+		c.donorNodes = make(map[*cgroup.Node]donorInfo)
+	}
+	c.donorRoots = c.donorRoots[:0]
 	donors := 0
 	for _, st := range c.order {
 		cg := st.cg
@@ -94,47 +99,38 @@ func (c *Controller) donate() int {
 		}
 		donors++
 		for n := cg; n != nil; n = n.Parent() {
-			in := nodes[n]
-			if in == nil {
-				in = &donorInfo{}
-				nodes[n] = in
+			in, seen := c.donorNodes[n]
+			if !seen && n.IsRoot() {
+				// Roots are recorded in c.order's donor order, so a
+				// controller serving several hierarchies transfers on
+				// each of them, always in the same order.
+				c.donorRoots = append(c.donorRoots, n)
 			}
 			in.d += hwa
 			in.dAfter += target
+			c.donorNodes[n] = in
 		}
-	}
-	if donors == 0 {
-		return 0
 	}
 
 	// Walk donor paths top-down applying the weight-transfer equations.
-	root := rootOf(nodes)
-	c.transfer(root, nodes, 1, 1)
-	return donors
-}
-
-func rootOf(nodes map[*cgroup.Node]*donorInfo) *cgroup.Node {
-	for n := range nodes {
-		for !n.IsRoot() {
-			n = n.Parent()
-		}
-		return n
+	for _, root := range c.donorRoots {
+		c.transfer(root, 1, 1)
 	}
-	return nil
+	return donors
 }
 
 // transfer applies the three donation equations to every child of p that
 // has donating descendants, then recurses. hAfter arguments are the
 // parent's pre/post-donation hweights.
-func (c *Controller) transfer(p *cgroup.Node, nodes map[*cgroup.Node]*donorInfo, ph, phAfter float64) {
-	pin := nodes[p]
+func (c *Controller) transfer(p *cgroup.Node, ph, phAfter float64) {
+	pin := c.donorNodes[p]
 	phMinusD := ph - pin.d
 	phAfterMinusD := phAfter - pin.dAfter
 	const eps = 1e-12
 
 	for _, child := range p.Children() {
-		in := nodes[child]
-		if in == nil || !child.Active() {
+		in, ok := c.donorNodes[child]
+		if !ok || !child.Active() {
 			continue
 		}
 		h := child.HweightActive()
@@ -160,6 +156,6 @@ func (c *Controller) transfer(p *cgroup.Node, nodes map[*cgroup.Node]*donorInfo,
 		child.SetInuse(wAfter)
 		c.donated = append(c.donated, child)
 
-		c.transfer(child, nodes, h, hAfter)
+		c.transfer(child, h, hAfter)
 	}
 }

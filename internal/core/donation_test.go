@@ -173,6 +173,49 @@ func TestDonationFlatTwoChildren(t *testing.T) {
 	}
 }
 
+// TestDonationTwoHierarchiesDeterministic: a controller serving two cgroup
+// hierarchies (colliding IDs go through stateForeign) must run the weight
+// transfer on both roots, in a fixed order, so every run lands on the same
+// inuse weights.
+func TestDonationTwoHierarchiesDeterministic(t *testing.T) {
+	run := func() []float64 {
+		c := newAttachedController(t, Config{Model: MustLinearModel(fig6Params()), Period: 10 * sim.Millisecond})
+		periodV := c.periodVns()
+		var leaves []*cgroup.Node
+		for _, w := range []float64{100, 300} {
+			h := cgroup.NewHierarchy()
+			a := h.Root().NewChild("A", w)
+			b := h.Root().NewChild("B", 200)
+			a.Activate()
+			b.Activate()
+			c.stateFor(a).usage = a.HweightActive() * periodV       // saturated
+			c.stateFor(b).usage = b.HweightActive() * periodV * 0.3 // donor
+			leaves = append(leaves, a, b)
+		}
+		if got := c.donate(); got != 2 {
+			t.Fatalf("donate() = %d donors, want 2 (one B per hierarchy)", got)
+		}
+		var inuse []float64
+		for i, n := range leaves {
+			if i%2 == 1 && n.Inuse() >= n.Weight() {
+				t.Errorf("hierarchy %d: donor B kept inuse %v (weight %v): its root's transfer never ran",
+					i/2, n.Inuse(), n.Weight())
+			}
+			inuse = append(inuse, n.Inuse())
+		}
+		return inuse
+	}
+	want := run()
+	for i := 1; i < 20; i++ {
+		got := run()
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("run %d: leaf %d inuse %v, first run %v", i, j, got[j], want[j])
+			}
+		}
+	}
+}
+
 func TestDonationDegenerateAllDonate(t *testing.T) {
 	// Every leaf idle enough to donate: weights must stay finite and
 	// positive, and hweights must still sum to 1.

@@ -135,8 +135,12 @@ type Controller struct {
 	latMissed [2]uint64
 	shortage  bool
 
-	// Donation bookkeeping: nodes whose inuse we lowered last pass.
-	donated []*cgroup.Node
+	// Donation bookkeeping: nodes whose inuse we lowered last pass, and
+	// the pass's per-node d/d' sums and donor-tree roots (scratch reused
+	// every period).
+	donated    []*cgroup.Node
+	donorNodes map[*cgroup.Node]donorInfo
+	donorRoots []*cgroup.Node
 
 	// Lifetime counters.
 	totalIssued  uint64

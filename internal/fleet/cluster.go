@@ -339,17 +339,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// hostStream returns host h's healthy workload stream.
-func hostStream(seed uint64, h int) *rng.Source {
-	return rng.Derive(seed, hostStreamTag^mix64(uint64(h)+1))
-}
-
-// stormStream returns host h's storm outcome stream — consumed only while a
-// storm covers h's rack, so enabling a storm never advances healthy streams.
-func stormStream(seed uint64, h int) *rng.Source {
-	return rng.Derive(seed, stormHostTag^mix64(uint64(h)+1))
-}
-
 // hostU returns host h's fixed uniform draw in [0,1) for the given
 // selection tag (migration order, push order): a pure function of (seed,
 // tag, h), so membership is identical regardless of sharding or scheduling.
@@ -372,11 +361,10 @@ type stormEffect struct {
 // scheduling cannot matter. Storms and their rack lists are slices walked
 // in declaration order; effects compose additively (failure probability)
 // and multiplicatively (latency), so composition is order-insensitive too.
-func stormEffects(cfg ClusterConfig, rack int) []stormEffect {
-	effs := make([]stormEffect, cfg.Ticks)
-	for i := range effs {
-		effs[i].LatMult = 1
-	}
+// A rack no enabled storm targets gets nil, which runHost reads as healthy
+// on every tick — so only stormed racks allocate.
+func stormEffects(cfg *ClusterConfig, rack int) []stormEffect {
+	var effs []stormEffect
 	for _, storm := range cfg.Storms {
 		if storm.Disabled {
 			continue
@@ -390,6 +378,12 @@ func stormEffects(cfg ClusterConfig, rack int) []stormEffect {
 		}
 		if !hit {
 			continue
+		}
+		if effs == nil {
+			effs = make([]stormEffect, cfg.Ticks)
+			for i := range effs {
+				effs[i].LatMult = 1
+			}
 		}
 		for t := 0; t < cfg.Ticks; t++ {
 			lo := sim.Time(t) * cfg.TickDur
@@ -507,6 +501,20 @@ func newSummary(cfg ClusterConfig) *Summary {
 	return s
 }
 
+// reset returns s to newSummary's state for the same config, keeping its
+// buffers: RunCluster recycles shard summaries through it, so it must
+// clear everything Merge reads.
+func (s *Summary) reset() {
+	s.Hosts, s.Racks, s.Shards = 0, 0, 0
+	clear(s.PerTick)
+	s.Latency.Reset()
+	s.FlightSampled, s.FlightDropped = 0, 0
+	s.FlightIncidents = s.FlightIncidents[:0]
+	if s.Calib != nil {
+		s.Calib.reset()
+	}
+}
+
 // Merge folds o into s. Merging in shard-index order (which RunCluster
 // guarantees) makes even the float moment sums byte-stable.
 func (s *Summary) Merge(o *Summary) {
@@ -558,11 +566,12 @@ type HostTickView struct {
 // The wrapper owns everything common to every fidelity — envelope behaviors
 // (migration, push, storm), TickStats bookkeeping, flight incidents, debug
 // views — while the HostModel owns what the host actually did (pressure,
-// op outcomes, latency observations).
-func runHost(cfg ClusterConfig, h int, effs []stormEffect, acc *Summary, view func(HostTickView)) {
-	var model HostModel
+// op outcomes, latency observations). Outcome hosts run on oh, reseeded
+// for h.
+func runHost(cfg *ClusterConfig, h int, effs []stormEffect, oh *outcomeHost, acc *Summary, view func(HostTickView)) {
+	var machine HostModel
 	if cfg.Fidelity.fullHost(cfg.Seed, h) {
-		model = cfg.Fidelity.Machine(HostSpec{
+		machine = cfg.Fidelity.Machine(HostSpec{
 			Seed: cfg.Seed, Host: h, Rack: h / cfg.RackSize, Kind: cfg.Kind,
 			Ticks: cfg.Ticks, TickDur: cfg.TickDur,
 			OpsPerHostTick: cfg.OpsPerHostTick,
@@ -572,7 +581,7 @@ func runHost(cfg ClusterConfig, h int, effs []stormEffect, acc *Summary, view fu
 			acc.Calib.FullHosts++
 		}
 	} else {
-		model = newOutcomeHost(cfg, h)
+		oh.reseed(cfg, h)
 	}
 	migU := hostU(cfg.Seed, hostMigrateTag, h)
 	pushU := hostU(cfg.Seed, hostPushTag, h)
@@ -604,7 +613,12 @@ func runHost(cfg ClusterConfig, h int, effs []stormEffect, acc *Summary, view fu
 			env.StormLatMult = eff.LatMult
 		}
 
-		r := model.Tick(env, acc)
+		var r HostTickResult
+		if machine != nil {
+			r = machine.Tick(env, acc)
+		} else {
+			r = oh.Tick(env, acc)
+		}
 
 		ts := &acc.PerTick[t]
 		ts.Ops += uint64(r.Ops)
@@ -653,26 +667,22 @@ func runHost(cfg ClusterConfig, h int, effs []stormEffect, acc *Summary, view fu
 	}
 }
 
-// runShard simulates one shard — a contiguous group of racks — into a fresh
-// Summary. Racks and hosts are walked in ascending ID order.
-func runShard(cfg ClusterConfig, topo Topology, shard int) *Summary {
-	acc := newSummary(cfg)
+// runShard simulates one shard — a contiguous group of racks — into acc,
+// an empty Summary. Racks and hosts are walked in ascending ID order.
+func runShard(cfg *ClusterConfig, topo Topology, shard int, acc *Summary) {
+	var oh outcomeHost
 	acc.Shards = 1
 	rackLo := shard * cfg.ShardRacks
 	rackHi := min(rackLo+cfg.ShardRacks, topo.Racks())
 	for rack := rackLo; rack < rackHi; rack++ {
-		var effs []stormEffect
-		if len(cfg.Storms) > 0 {
-			effs = stormEffects(cfg, rack)
-		}
+		effs := stormEffects(cfg, rack)
 		lo, hi := topo.RackHosts(rack)
 		for h := lo; h < hi; h++ {
-			runHost(cfg, h, effs, acc, nil)
+			runHost(cfg, h, effs, &oh, acc, nil)
 		}
 		acc.Racks++
 		acc.Hosts += hi - lo
 	}
-	return acc
 }
 
 // RunCluster simulates the fleet and returns its merged summary.
@@ -682,6 +692,9 @@ func runShard(cfg ClusterConfig, topo Topology, shard int) *Summary {
 // retained at once (fanout.ForEachNMerge), so results are byte-identical
 // for every worker count and memory stays bounded by the window — not the
 // host count.
+//
+// Merged shard summaries are reset and recycled through a free list, so a
+// run builds one summary per shard in flight, not one per shard.
 func RunCluster(cfg ClusterConfig) (*Summary, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -690,10 +703,29 @@ func RunCluster(cfg ClusterConfig) (*Summary, error) {
 	topo := Topology{Hosts: cfg.Hosts, RackSize: cfg.RackSize}
 	shards := (topo.Racks() + cfg.ShardRacks - 1) / cfg.ShardRacks
 
+	// The merge window bounds how many shard summaries are alive at once,
+	// so a free list that size can hold every one of them.
+	free := make(chan *Summary, clusterBatch)
 	total := newSummary(cfg)
 	fanout.ForEachNMerge(shards, cfg.Workers, clusterBatch,
-		func(i int) *Summary { return runShard(cfg, topo, i) },
-		func(_ int, s *Summary) { total.Merge(s) })
+		func(i int) *Summary {
+			var acc *Summary
+			select {
+			case acc = <-free:
+			default:
+				acc = newSummary(cfg)
+			}
+			runShard(&cfg, topo, i, acc)
+			return acc
+		},
+		func(_ int, s *Summary) {
+			total.Merge(s)
+			s.reset()
+			select {
+			case free <- s:
+			default:
+			}
+		})
 	return total, nil
 }
 
@@ -709,13 +741,10 @@ func SimulateHost(cfg ClusterConfig, h int) ([]HostTickView, error) {
 		return nil, fmt.Errorf("fleet: host %d outside topology of %d hosts", h, cfg.Hosts)
 	}
 	topo := Topology{Hosts: cfg.Hosts, RackSize: cfg.RackSize}
-	var effs []stormEffect
-	if len(cfg.Storms) > 0 {
-		effs = stormEffects(cfg, topo.RackOf(h))
-	}
+	effs := stormEffects(&cfg, topo.RackOf(h))
 	views := make([]HostTickView, 0, cfg.Ticks)
-	scratch := newSummary(cfg)
-	runHost(cfg, h, effs, scratch, func(v HostTickView) { views = append(views, v) })
+	var oh outcomeHost
+	runHost(&cfg, h, effs, &oh, newSummary(cfg), func(v HostTickView) { views = append(views, v) })
 	return views, nil
 }
 

@@ -2,8 +2,6 @@ package fleet_test
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -103,22 +101,7 @@ func TestClusterRepeatedRunsByteIdentical(t *testing.T) {
 func TestClusterGolden(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.Workers = 4
-	got := mustRun(t, cfg).Format()
-	path := filepath.Join("testdata", "fleet_golden.txt")
-	if os.Getenv("UPDATE_FLEET_GOLDEN") != "" {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (UPDATE_FLEET_GOLDEN=1 to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("fleet summary diverged from golden:\n--- want\n%s--- got\n%s", want, got)
-	}
+	checkGolden(t, "fleet_golden.txt", mustRun(t, cfg).Format())
 }
 
 // TestStormRackCorrelation: hosts sharing a rack-level fault plan observe

@@ -273,6 +273,17 @@ func newCalib(ticks int) *Calib {
 	return c
 }
 
+// reset returns c to newCalib's state, keeping its sketches.
+func (c *Calib) reset() {
+	c.FullHosts = 0
+	for i := range c.PerTick {
+		c.PerTick[i].Full.Reset()
+		c.PerTick[i].Outcome.Reset()
+	}
+	c.Protected.Reset()
+	c.BestEffort.Reset()
+}
+
 // merge folds o into c (shard-index order, like Summary.Merge).
 func (c *Calib) merge(o *Calib) {
 	c.FullHosts += o.FullHosts
@@ -349,28 +360,28 @@ func DrawPressure(r *rng.Source) float64 { return drawPressure(r) }
 // the controller failure curve at the tick's pressure. This is the
 // original fleet host path; its draw order from the healthy and storm
 // streams is pinned by the fleet goldens and must not change.
+//
+// One outcomeHost serves every outcome host of a shard, reseeded in place
+// per host, so the outcome path allocates nothing per host.
 type outcomeHost struct {
-	cfg       ClusterConfig
-	hr        *rng.Source // healthy stream
-	sr        *rng.Source // storm stream, consumed only under active storm
-	timeoutNS int64
-	baseLat   float64
+	cfg *ClusterConfig // the shard's, never a per-host copy
+	hr  rng.Source     // healthy stream
+	sr  rng.Source     // storm stream, consumed only under active storm
 }
 
-func newOutcomeHost(cfg ClusterConfig, h int) *outcomeHost {
-	spec := specFor(cfg.Kind)
-	return &outcomeHost{
-		cfg:       cfg,
-		hr:        hostStream(cfg.Seed, h),
-		sr:        stormStream(cfg.Seed, h),
-		timeoutNS: int64(3 * spec.deadline),
-		baseLat:   float64(spec.deadline) / 6,
-	}
+// reseed makes o host h of cfg. The storm stream is consumed only while a
+// storm covers h's rack, so enabling a storm never advances the healthy one.
+func (o *outcomeHost) reseed(cfg *ClusterConfig, h int) {
+	o.cfg = cfg
+	o.hr.Reseed(rng.DeriveSeed(cfg.Seed, hostStreamTag^mix64(uint64(h)+1)))
+	o.sr.Reseed(rng.DeriveSeed(cfg.Seed, stormHostTag^mix64(uint64(h)+1)))
 }
 
 func (o *outcomeHost) Tick(env HostTickEnv, acc *Summary) HostTickResult {
 	cfg := o.cfg
-	p := drawPressure(o.hr)
+	spec := specFor(cfg.Kind)
+	timeoutNS, baseLat := int64(3*spec.deadline), float64(spec.deadline)/6
+	p := drawPressure(&o.hr)
 
 	curve := cfg.Old
 	if env.Migrated {
@@ -392,7 +403,7 @@ func (o *outcomeHost) Tick(env HostTickEnv, acc *Summary) HostTickResult {
 		// stream, in a fixed order, so storm and push configuration can
 		// never perturb it.
 		fail := o.hr.Bool(ioFail)
-		lat := o.baseLat * (0.6 + 2.4*p) * o.hr.LogNormal(0, 0.3)
+		lat := baseLat * (0.6 + 2.4*p) * o.hr.LogNormal(0, 0.3)
 
 		sFail := false
 		if env.StormActive {
@@ -405,8 +416,8 @@ func (o *outcomeHost) Tick(env HostTickEnv, acc *Summary) HostTickResult {
 			stormFails++
 		}
 		effLat := int64(lat * latFactor * env.StormLatMult)
-		if fail || sFail || effLat > o.timeoutNS {
-			effLat = o.timeoutNS
+		if fail || sFail || effLat > timeoutNS {
+			effLat = timeoutNS
 		}
 		acc.Latency.Observe(effLat)
 		if acc.Calib != nil {

@@ -18,6 +18,14 @@ type Source struct {
 // streams for practical simulation purposes.
 func New(seed uint64) *Source {
 	var r Source
+	r.Reseed(seed)
+	return &r
+}
+
+// Reseed puts r in exactly the state New(seed) starts from, whatever r has
+// drawn before: the in-place form of New for hot paths that recycle one
+// Source across many seeded entities instead of allocating one each.
+func (r *Source) Reseed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
@@ -30,7 +38,6 @@ func New(seed uint64) *Source {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
-	return &r
 }
 
 // Split derives a new independent Source from r. It consumes two values from
@@ -49,7 +56,8 @@ func (r *Source) Split() *Source {
 // start consuming random numbers.
 //
 // Tags are arbitrary constants; components of one scenario must use
-// distinct tags or their streams collide.
+// distinct tags or their streams collide. The in-place form, for a Source
+// that is recycled rather than allocated, is r.Reseed(DeriveSeed(seed, tag)).
 func Derive(seed, tag uint64) *Source {
 	return New(DeriveSeed(seed, tag))
 }

@@ -185,3 +185,27 @@ func TestDeriveIsDeterministicAndTagSensitive(t *testing.T) {
 		}
 	}
 }
+
+// TestReseedMatchesNew: Reseed must put a Source — fresh or already drawn
+// from — in exactly New(seed)'s state, so recycled streams reproduce
+// allocated ones draw for draw.
+func TestReseedMatchesNew(t *testing.T) {
+	seeds := []uint64{0, 1, math.MaxUint64, DeriveSeed(7, 0x705714c857_000001)}
+	used := New(99)
+	for i := 0; i < 37; i++ {
+		used.Uint64()
+	}
+	for _, seed := range seeds {
+		var fresh Source
+		fresh.Reseed(seed)
+		used.Reseed(seed)
+		want := New(seed)
+		for i := 0; i < 1000; i++ {
+			w := want.Uint64()
+			if f, u := fresh.Uint64(), used.Uint64(); f != w || u != w {
+				t.Fatalf("seed %#x draw %d: New=%#x, Reseed on zero Source=%#x, Reseed on used Source=%#x",
+					seed, i, w, f, u)
+			}
+		}
+	}
+}

@@ -165,16 +165,11 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max
 }
 
-// Reset clears all samples.
+// Reset clears all samples, leaving h in exactly NewHistogram's state
+// (the Observe memo included) while keeping its bucket array.
 func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total = 0
-	h.sum = 0
-	h.sumsq = 0
-	h.max = 0
-	h.min = math.MaxInt64
+	clear(h.counts)
+	*h = Histogram{counts: h.counts, min: math.MaxInt64}
 }
 
 // Merge folds src into h. Histograms are mergeable sketches: bucket counts

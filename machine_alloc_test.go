@@ -34,34 +34,40 @@ func TestSteadyStateZeroAllocsFlight(t *testing.T) {
 }
 
 // TestReplayerZeroAllocs pins the open-loop path: once warm, a profile
-// Replayer driving both directions must not allocate per arrival.
+// Replayer driving both directions must not allocate per arrival — with no
+// controller, and under iocost, whose planning period (vrate adjustment,
+// donation pass) runs inside every 10 ms window.
 func TestReplayerZeroAllocs(t *testing.T) {
 	if check.Enabled {
 		t.Skip("sanitizer wrappers keep their own bookkeeping; alloc pin runs unsanitized")
 	}
-	spec := device.NullSSD()
-	m := exp.MustNewMachine(exp.MachineConfig{
-		Device:     exp.DeviceChoice{SSD: &spec},
-		Controller: exp.KindNone,
-		Seed:       42,
-	})
-	r := workload.NewReplayer(m.Q, m.Workload.NewChild("r", 100), workload.DemandProfile{
-		Name: "r", ReadBps: 400e6, WriteBps: 150e6, ReadRandFrac: 0.7, WriteRandFrac: 0.3,
-	}, 0, 1)
-	r.Start()
+	for _, kind := range []string{exp.KindNone, exp.KindIOCost} {
+		t.Run(kind, func(t *testing.T) {
+			spec := device.NullSSD()
+			m := exp.MustNewMachine(exp.MachineConfig{
+				Device:     exp.DeviceChoice{SSD: &spec},
+				Controller: kind,
+				Seed:       42,
+			})
+			r := workload.NewReplayer(m.Q, m.Workload.NewChild("r", 100), workload.DemandProfile{
+				Name: "r", ReadBps: 400e6, WriteBps: 150e6, ReadRandFrac: 0.7, WriteRandFrac: 0.3,
+			}, 0, 1)
+			r.Start()
 
-	deadline := 100 * sim.Millisecond
-	m.Run(deadline)
+			deadline := 100 * sim.Millisecond
+			m.Run(deadline)
 
-	allocs := testing.AllocsPerRun(10, func() {
-		deadline += 10 * sim.Millisecond
-		m.Run(deadline)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state open-loop replay allocates %.1f per 10ms window, want 0", allocs)
-	}
-	if r.ReadStats.Done == 0 || r.WriteStats.Done == 0 {
-		t.Fatal("replayer completed nothing; the pin measured nothing")
+			allocs := testing.AllocsPerRun(10, func() {
+				deadline += 10 * sim.Millisecond
+				m.Run(deadline)
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state open-loop replay allocates %.1f per 10ms window, want 0", allocs)
+			}
+			if r.ReadStats.Done == 0 || r.WriteStats.Done == 0 {
+				t.Fatal("replayer completed nothing; the pin measured nothing")
+			}
+		})
 	}
 }
 
