@@ -15,9 +15,16 @@ package bio
 // Pools are not goroutine-safe; like the engine they belong to exactly one
 // simulated machine. The pool grows on demand (Get never fails) and never
 // shrinks — the working set is bounded by the peak number of in-flight
-// bios, which the tag set and workload depths already bound.
+// bios, which the tag set and workload depths already bound. The pool
+// remembers every bio it handed out, so Reclaim can take them all back
+// when the machine is retired and the pool reused for the next one.
 type Pool struct {
 	free []*Bio
+	// all holds every bio the pool has handed out, in allocation order,
+	// less detached ones once they outnumber the rest (see Detach);
+	// detached counts those still in it.
+	all      []*Bio
+	detached int
 
 	// Lifetime counters for tests and diagnostics.
 	gets uint64
@@ -33,18 +40,52 @@ func NewPool() *Pool { return &Pool{} }
 // pool after the final completion's OnDone returns. Callers that retain a
 // bio past OnDone must Detach it first.
 func (p *Pool) Get() *Bio {
+	p.gets++
 	n := len(p.free)
 	if n == 0 {
+		b := &Bio{pool: p}
+		p.all = append(p.all, b)
 		p.news++
-		p.gets++
-		return &Bio{pool: p}
+		return b
 	}
 	b := p.free[n-1]
 	p.free[n-1] = nil
 	p.free = p.free[:n-1]
 	b.inPool = false
-	p.gets++
 	return b
+}
+
+// Reclaim returns every bio the pool handed out and still owns to the free
+// list, as if each live one had been Put: fields cleared, generation
+// bumped. Detached bios stay out — their holders own them. Reclaim is
+// legal only once nothing will touch the pool's live bios again: when the
+// machine they flowed through is retired, its engine reset so no pending
+// event still holds one. A bio Put after Reclaim is a double Put and
+// panics.
+func (p *Pool) Reclaim() {
+	p.dropDetached()
+	if cap(p.free) < len(p.all) {
+		// Sized like all, so the free list regrows only when all does.
+		p.free = append(make([]*Bio, 0, cap(p.all)), p.free...)
+	}
+	for _, b := range p.all {
+		if !b.inPool {
+			p.recycle(b)
+		}
+	}
+}
+
+// dropDetached removes detached bios from all, keeping the order of the
+// rest.
+func (p *Pool) dropDetached() {
+	kept := p.all[:0]
+	for _, b := range p.all {
+		if b.pool == p {
+			kept = append(kept, b)
+		}
+	}
+	clear(p.all[len(kept):])
+	p.all, p.detached = kept, 0
 }
 
 // Put recycles b: every request field is cleared (a recycled bio must not
@@ -59,9 +100,14 @@ func (p *Pool) Put(b *Bio) {
 	if b.inPool {
 		panic("bio: double Put (bio already in pool)")
 	}
+	p.recycle(b)
+	p.puts++
+}
+
+// recycle clears b, bumps its generation and puts it on the free list.
+func (p *Pool) recycle(b *Bio) {
 	*b = Bio{pool: p, gen: b.gen + 1, inPool: true}
 	p.free = append(p.free, b)
-	p.puts++
 }
 
 // Free returns how many recycled bios are ready for Get.
@@ -91,8 +137,20 @@ func (b *Bio) Pooled() bool { return b.pool != nil }
 // recycle it on completion, and the holder owns it for the rest of its
 // life. The block layer detaches timed-out bios itself — the device still
 // holds a pointer for the eventual late completion, so recycling would
-// alias a live request.
-func (b *Bio) Detach() { b.pool = nil }
+// alias a live request. The pool forgets detached bios once they outnumber
+// the ones it still owns, so a long run that times many bios out does not
+// keep them all reachable.
+func (b *Bio) Detach() {
+	p := b.pool
+	if p == nil {
+		return
+	}
+	b.pool = nil
+	p.detached++
+	if 2*p.detached > len(p.all) {
+		p.dropDetached()
+	}
+}
 
 // Release returns b to its owning pool, if any. Non-pooled bios are
 // untouched, so callers can release unconditionally.

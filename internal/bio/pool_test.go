@@ -1,7 +1,9 @@
 package bio
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/iocost-sim/iocost/internal/sim"
 )
@@ -122,4 +124,117 @@ func TestDetachStopsRecycling(t *testing.T) {
 	if p.Free() != 0 {
 		t.Error("Release recycled a detached bio")
 	}
+}
+
+// TestPoolReclaim: Reclaim takes back every bio the pool handed out —
+// recycled or live — but not detached ones.
+func TestPoolReclaim(t *testing.T) {
+	p := NewPool()
+	live := make([]*Bio, 96)
+	for i := range live {
+		live[i] = p.Get()
+		live[i].Off = int64(i)
+		live[i].OnDone = func(*Bio) {}
+	}
+	for _, b := range live[:10] {
+		p.Put(b)
+	}
+	detached := live[20:23]
+	for _, b := range detached {
+		b.Detach()
+	}
+	gens := make([]uint32, len(live))
+	for i, b := range live {
+		gens[i] = b.Gen()
+	}
+
+	p.Reclaim()
+	want := int(p.Allocated()) - len(detached)
+	if p.Free() != want {
+		t.Fatalf("Free = %d after Reclaim, want Allocated %d - detached %d", p.Free(), p.Allocated(), len(detached))
+	}
+	for i, b := range live {
+		switch {
+		case i >= 20 && i < 23:
+			if b.Pooled() || b.Off != int64(i) {
+				t.Errorf("bio %d: Reclaim touched a detached bio", i)
+			}
+		case i < 10:
+			if b.Gen() != gens[i] {
+				t.Errorf("bio %d: already-free bio's generation moved %d -> %d", i, gens[i], b.Gen())
+			}
+		default:
+			if b.Gen() != gens[i]+1 || b.Off != 0 || b.OnDone != nil {
+				t.Errorf("bio %d: live bio not recycled by Reclaim (gen %d -> %d)", i, gens[i], b.Gen())
+			}
+		}
+	}
+
+	// Reclaim is a Put: putting a reclaimed bio again is a double Put.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Put after Reclaim did not panic")
+			}
+		}()
+		p.Put(live[30])
+	}()
+
+	// Gets now reuse every reclaimed bio, and only those, before the pool
+	// allocates again.
+	n := p.Allocated()
+	owned := map[*Bio]bool{}
+	for i, b := range live {
+		if i < 20 || i >= 23 {
+			owned[b] = true
+		}
+	}
+	for range want {
+		b := p.Get()
+		if !owned[b] {
+			t.Fatal("Get after Reclaim returned a bio the pool did not own, or one twice")
+		}
+		delete(owned, b)
+	}
+	if p.Allocated() != n || p.Free() != 0 {
+		t.Errorf("draining the reclaimed pool: Allocated %d -> %d, Free %d", n, p.Allocated(), p.Free())
+	}
+	p.Get()
+	if p.Allocated() != n+1 {
+		t.Errorf("Get on an empty reclaimed pool: Allocated %d, want %d", p.Allocated(), n+1)
+	}
+}
+
+// TestDetachedBiosAreForgotten: once detached bios outnumber the ones the
+// pool owns, the pool drops them, so a bio whose holder lets go of it is
+// collected even though its pool lives on.
+func TestDetachedBiosAreForgotten(t *testing.T) {
+	p := NewPool()
+	live := make([]*Bio, 10)
+	for i := range live {
+		live[i] = p.Get()
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(live[0], func(*Bio) { close(collected) })
+	for _, b := range live[:8] {
+		b.Detach()
+	}
+	clear(live[:8])
+	deadline := time.Now().Add(5 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("a detached, dropped bio is still reachable through its pool")
+			}
+		}
+	}
+	p.Reclaim()
+	if p.Free() != 2 || p.Allocated() != 10 {
+		t.Errorf("after Reclaim: Free %d, Allocated %d; want 2 owned of 10 allocated", p.Free(), p.Allocated())
+	}
+	runtime.KeepAlive(live)
 }

@@ -170,6 +170,12 @@ type Queue struct {
 // New builds a queue over dev controlled by ctl. tags <= 0 selects
 // DefaultTags.
 func New(eng *sim.Engine, dev device.Device, ctl Controller, tags int) *Queue {
+	return NewWithPool(eng, dev, ctl, tags, bio.NewPool())
+}
+
+// NewWithPool is New drawing the queue's bios from pool, which a retired
+// queue on the same engine may have used before (see bio.Pool.Reclaim).
+func NewWithPool(eng *sim.Engine, dev device.Device, ctl Controller, tags int, pool *bio.Pool) *Queue {
 	if tags <= 0 {
 		tags = DefaultTags
 	}
@@ -180,7 +186,7 @@ func New(eng *sim.Engine, dev device.Device, ctl Controller, tags int) *Queue {
 		tags:     tags,
 		ReadLat:  stats.NewHistogram(),
 		WriteLat: stats.NewHistogram(),
-		pool:     bio.NewPool(),
+		pool:     pool,
 	}
 	q.completeFn = q.complete
 	q.retryFn = func(a any) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/iocost-sim/iocost/internal/bio"
 	"github.com/iocost-sim/iocost/internal/blk"
 	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/ctl"
@@ -16,7 +17,7 @@ import (
 // hostFactory builds a fleet.Host running the given mechanism on the
 // older-generation SSD (the fleet's most contended device class).
 func hostFactory(kind string) fleet.HostFactory {
-	return func(eng *sim.Engine, seed uint64) fleet.Host {
+	return func(eng *sim.Engine, pool *bio.Pool, seed uint64) fleet.Host {
 		spec := device.OlderGenSSD()
 		dev := device.NewSSD(eng, spec, seed)
 		var c blk.Controller
@@ -28,7 +29,7 @@ func hostFactory(kind string) fleet.HostFactory {
 				panic("fleet: " + err.Error())
 			}
 		}
-		q := blk.New(eng, dev, c, 0)
+		q := blk.NewWithPool(eng, dev, c, 0, pool)
 
 		hier := cgroup.NewHierarchy()
 		h := fleet.Host{

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/iocost-sim/iocost/internal/bio"
 	"github.com/iocost-sim/iocost/internal/blk"
 	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/check"
@@ -186,6 +187,11 @@ type Machine struct {
 	System       *cgroup.Node
 	HostCritical *cgroup.Node
 	Workload     *cgroup.Node
+
+	// pool is the queue's bio pool; it and Eng are all Retire keeps.
+	pool *bio.Pool
+	// ownEng says NewMachine built Eng, so Retire may reset it.
+	ownEng bool
 }
 
 // Parameter derivation lives in internal/tune (the auto-tuner races its
@@ -268,11 +274,62 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	eng := cfg.Engine
-	if eng == nil {
-		eng = sim.New()
+	m := &Machine{Eng: cfg.Engine, pool: bio.NewPool(), ownEng: cfg.Engine == nil}
+	if m.ownEng {
+		m.Eng = sim.New()
 	}
-	m := &Machine{Eng: eng, Hier: cgroup.NewHierarchy()}
+	if err := m.build(cfg); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Retire releases everything m's last run built and keeps only its engine
+// and bio pool, for a later Reset: the engine is reset, every pending
+// event released so no callback of the old run stays reachable, and the
+// pool reclaimed. A retired machine has no device, queue or controller;
+// Reset is the only call it takes. Retiring twice is harmless.
+//
+// Retire is legal only when nothing still uses the old machine's
+// components or live bios, and only on a machine that owns its engine —
+// one built with a nil MachineConfig.Engine — because resetting a shared
+// engine would wipe its other machines' events.
+func (m *Machine) Retire() error {
+	if !m.ownEng {
+		return fmt.Errorf("exp: Machine.Retire of a machine on a shared engine")
+	}
+	m.Eng.Reset()
+	m.pool.Reclaim()
+	*m = Machine{Eng: m.Eng, pool: m.pool, ownEng: true}
+	return nil
+}
+
+// Reset rebuilds m in place as NewMachine(cfg) would build it: it retires
+// m, then runs the build NewMachine runs on the kept engine and pool. A
+// reset machine runs exactly as a fresh one does while skipping the
+// engine's wheel and the pool's bios, most of a build's allocation.
+//
+// Reset has Retire's conditions, and cfg.Engine must be nil or m.Eng
+// itself. A configuration error leaves m untouched; any later error leaves
+// it unusable.
+func (m *Machine) Reset(cfg MachineConfig) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.Engine != nil && cfg.Engine != m.Eng {
+		return fmt.Errorf("exp: Machine.Reset onto a different engine")
+	}
+	if err := m.Retire(); err != nil {
+		return err
+	}
+	return m.build(cfg)
+}
+
+// build assembles a validated cfg into m, which holds only its engine and
+// bio pool. NewMachine and Reset differ only in where those come from.
+func (m *Machine) build(cfg MachineConfig) error {
+	eng := m.Eng
+	m.Hier = cgroup.NewHierarchy()
 
 	ssdSpec := cfg.Device.SSD
 	m.Dev = cfg.Device.New(eng, rng.DeriveSeed(cfg.Seed, 0xde5))
@@ -280,7 +337,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if !cfg.Faults.Empty() {
 		inj, err := fault.NewInjector(eng, m.Dev, cfg.Faults, rng.DeriveSeed(cfg.Seed, faultSeedTag))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m.Fault = inj
 		m.Dev = inj
@@ -296,7 +353,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	}
 	c, err := ctl.New(name, ctlCfg)
 	if err != nil {
-		return nil, fmt.Errorf("exp: %w", err)
+		return fmt.Errorf("exp: %w", err)
 	}
 	m.Ctl = c
 	if ioc, ok := c.(*core.Controller); ok {
@@ -315,7 +372,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		qctl = check.Wrap(m.Ctl, check.Options{Hier: m.Hier, DeepEvery: 64})
 	}
 
-	m.Q = blk.New(eng, m.Dev, qctl, cfg.Tags)
+	m.Q = blk.NewWithPool(eng, m.Dev, qctl, cfg.Tags, m.pool)
 	switch {
 	case cfg.Retry != nil:
 		m.Q.SetRetryPolicy(*cfg.Retry)
@@ -349,7 +406,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		}
 		fl, err := flight.New(eng, fc)
 		if err != nil {
-			return nil, fmt.Errorf("exp: %w", err)
+			return fmt.Errorf("exp: %w", err)
 		}
 		m.Flight = fl
 		fl.Attach(m.Q)
@@ -430,13 +487,13 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	}
 	if m.Flight != nil {
 		if err := m.Flight.BindRegistry(m.Registry); err != nil {
-			return nil, fmt.Errorf("exp: %w", err)
+			return fmt.Errorf("exp: %w", err)
 		}
 		if err := m.Flight.Start(); err != nil {
-			return nil, fmt.Errorf("exp: %w", err)
+			return fmt.Errorf("exp: %w", err)
 		}
 	}
-	return m, nil
+	return nil
 }
 
 // multiSink fans controller events out to several recorders (the main

@@ -32,8 +32,10 @@ type Host struct {
 	Workload     *cgroup.Node
 }
 
-// HostFactory builds a fresh host with some controller on a fresh engine.
-type HostFactory func(eng *sim.Engine, seed uint64) Host
+// HostFactory builds a fresh host with some controller on eng, an engine
+// at time zero with nothing scheduled, drawing its bios from pool (see
+// blk.NewWithPool).
+type HostFactory func(eng *sim.Engine, pool *bio.Pool, seed uint64) Host
 
 // OpKind selects the system-slice operation under test.
 type OpKind int
@@ -96,8 +98,13 @@ const runStep = 10 * sim.Millisecond
 // The micro-simulation stops as soon as the outcome is known: when the
 // operation completes, or once its deadline has passed.
 func RunOp(factory HostFactory, kind OpKind, pressure float64, seed uint64) (sim.Time, bool) {
-	eng := sim.New()
-	h := factory(eng, seed)
+	return runOp(sim.New(), bio.NewPool(), factory, kind, pressure, seed)
+}
+
+// runOp is RunOp on a given engine and pool, which must be fresh, reset or
+// reclaimed.
+func runOp(eng *sim.Engine, pool *bio.Pool, factory HostFactory, kind OpKind, pressure float64, seed uint64) (sim.Time, bool) {
+	h := factory(eng, pool, seed)
 	spec := specFor(kind)
 
 	// Main workload pressure: open-loop random reads plus buffered
@@ -177,15 +184,20 @@ type Curve struct {
 }
 
 // MeasureCurve builds a failure-probability curve by running trials at each
-// pressure level.
+// pressure level. The trials run one after another on one engine and bio
+// pool, reset and reclaimed between trials, so a curve costs one engine
+// and one pool's high-water mark of bios rather than one per trial.
 func MeasureCurve(factory HostFactory, kind OpKind, pressures []float64, trials int, seed uint64) Curve {
 	c := Curve{Kind: kind, Pressures: append([]float64(nil), pressures...)}
 	sort.Float64s(c.Pressures)
 	base := specFor(kind).baseFail
+	eng, pool := sim.New(), bio.NewPool()
 	for _, p := range c.Pressures {
 		fails := 0
 		for t := 0; t < trials; t++ {
-			_, ok := RunOp(factory, kind, p, seed+uint64(t)*7919+uint64(p*1000))
+			eng.Reset()
+			pool.Reclaim()
+			_, ok := runOp(eng, pool, factory, kind, p, seed+uint64(t)*7919+uint64(p*1000))
 			if !ok {
 				fails++
 			}

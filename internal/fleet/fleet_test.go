@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"testing"
 
+	"github.com/iocost-sim/iocost/internal/bio"
 	"github.com/iocost-sim/iocost/internal/blk"
 	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/ctl"
@@ -13,9 +14,9 @@ import (
 )
 
 // passthroughHost builds hosts with no cgroup IO control.
-func passthroughHost(eng *sim.Engine, seed uint64) fleet.Host {
+func passthroughHost(eng *sim.Engine, pool *bio.Pool, seed uint64) fleet.Host {
 	dev := device.NewSSD(eng, device.OlderGenSSD(), seed)
-	q := blk.New(eng, dev, ctl.NewNone(), 0)
+	q := blk.NewWithPool(eng, dev, ctl.NewNone(), 0, pool)
 	h := cgroup.NewHierarchy()
 	return fleet.Host{
 		Q:            q,

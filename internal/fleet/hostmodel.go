@@ -401,10 +401,11 @@ func (o *outcomeHost) Tick(env HostTickEnv, acc *Summary) HostTickResult {
 	for op := 0; op < cfg.OpsPerHostTick; op++ {
 		// Healthy draws always come — and only come — from the healthy
 		// stream, in a fixed order, so storm and push configuration can
-		// never perturb it.
+		// never perturb it: a failed op, whose latency is the timeout
+		// whatever the draw, still consumes its latency draw's uniforms.
+		// The two streams are independent, so drawing the storm outcome
+		// before the latency reorders nothing within either.
 		fail := o.hr.Bool(ioFail)
-		lat := baseLat * (0.6 + 2.4*p) * o.hr.LogNormal(0, 0.3)
-
 		sFail := false
 		if env.StormActive {
 			sFail = o.sr.Bool(env.StormFailProb)
@@ -415,9 +416,12 @@ func (o *outcomeHost) Tick(env HostTickEnv, acc *Summary) HostTickResult {
 		case sFail:
 			stormFails++
 		}
-		effLat := int64(lat * latFactor * env.StormLatMult)
-		if fail || sFail || effLat > timeoutNS {
-			effLat = timeoutNS
+		effLat := timeoutNS
+		if fail || sFail {
+			o.hr.SkipNormal()
+		} else {
+			lat := baseLat * (0.6 + 2.4*p) * o.hr.LogNormal(0, 0.3)
+			effLat = min(int64(lat*latFactor*env.StormLatMult), timeoutNS)
 		}
 		acc.Latency.Observe(effLat)
 		if acc.Calib != nil {

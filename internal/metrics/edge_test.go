@@ -83,7 +83,7 @@ func TestTimelineNegativeTimeClamps(t *testing.T) {
 func TestTimelineSeriesSkipsEmptyBuckets(t *testing.T) {
 	tl := NewTimeline(sim.Millisecond, 64)
 	tl.Record(0, 2)
-	tl.Record(0, 4)                 // same bucket → mean 3
+	tl.Record(0, 4)                  // same bucket → mean 3
 	tl.Record(10*sim.Millisecond, 5) // gap of 9 empty buckets
 	s := tl.Series()
 	if s.Len() != 2 {

@@ -126,6 +126,17 @@ func (r *Source) Normal(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
+// SkipNormal advances r past one Normal (or LogNormal) draw without
+// computing it: it consumes exactly the uniforms Normal would, the u1 == 0
+// retry included, so the stream continues as if the value had been drawn.
+// Callers whose draw would be discarded skip the Log, Sqrt and Cos (and a
+// LogNormal's Exp) this way and stay on the same stream.
+func (r *Source) SkipNormal() {
+	for r.Float64() == 0 {
+	}
+	r.Uint64() // u2: a Float64 is exactly one Uint64
+}
+
 // Pareto returns a Pareto(alpha) distributed value with minimum xm. Heavy
 // tails (small alpha) model SSD garbage-collection stalls well.
 func (r *Source) Pareto(xm, alpha float64) float64 {

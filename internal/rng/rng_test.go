@@ -209,3 +209,30 @@ func TestReseedMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+// TestSkipNormalMatchesLogNormal: after SkipNormal the stream continues
+// exactly where it would after a LogNormal (or Normal) draw, including when
+// Box-Muller's first uniform is 0 and has to be redrawn.
+func TestSkipNormalMatchesLogNormal(t *testing.T) {
+	check := func(name string, fresh func() *Source) {
+		t.Helper()
+		a, b := fresh(), fresh()
+		for i := 0; i < 100; i++ {
+			a.LogNormal(0, 0.3)
+			b.SkipNormal()
+			if x, y := a.Uint64(), b.Uint64(); x != y {
+				t.Fatalf("%s: draw after skip %d: %#x, after LogNormal %#x", name, i, y, x)
+			}
+		}
+	}
+	for seed := uint64(0); seed < 50; seed++ {
+		check("seed", func() *Source { return New(seed) })
+	}
+	// xoshiro256** outputs 0 when s[1] is 0, so this state's first
+	// uniform is exactly 0: Normal must redraw it.
+	zeroFirst := func() *Source { return &Source{s: [4]uint64{1, 0, 3, 4}} }
+	if u := zeroFirst().Float64(); u != 0 {
+		t.Fatalf("crafted state's first uniform is %v, want 0", u)
+	}
+	check("u1 retry", zeroFirst)
+}

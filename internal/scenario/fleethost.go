@@ -17,11 +17,14 @@
 // Every draw comes from per-host streams derived under scenario-owned tags
 // (disjoint from the fleet package's), storm draws come from a dedicated
 // stream consumed only under an active storm, and each host owns a private
-// engine — so fleets mixing full machines stay byte-identical at every
-// worker count.
+// engine while it runs — so fleets mixing full machines stay byte-identical
+// at every worker count. Machines are recycled between hosts through
+// Machine.Reset, which builds exactly what a fresh machine would.
 package scenario
 
 import (
+	"sync"
+
 	"github.com/iocost-sim/iocost/internal/bio"
 	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/exp"
@@ -111,10 +114,63 @@ type fleetHost struct {
 	epoch int
 }
 
-// build assembles a fresh machine on a fresh engine. The host is rebuilt
-// when the migration wave flips it (a real migration restarts the IO
-// stack); the controller is the only thing that changes, but the rebuild
-// seed advances so the two stacks don't replay identical device noise.
+// maxRetiredMachines bounds the retired-machine free list. Each worker
+// runs one full host at a time, so the list seldom holds more than the
+// worker count; the bound caps what it can keep reachable between runs.
+const maxRetiredMachines = 8
+
+// retired is the free list of machines whose hosts ran their last tick. It
+// is shared by every shard and worker: a sampled fleet has far more shards
+// than full hosts, so a per-shard list would almost never hit. It is a
+// plain list rather than a sync.Pool because the GC empties a sync.Pool
+// mid-round. It is package state because NewFleetHost is a plain
+// fleet.MachineFactory with nowhere to carry a per-run list. A
+// Machine.Reset machine runs exactly as a fresh one, so which host
+// inherits which machine changes no output.
+var retired struct {
+	sync.Mutex
+	free []*exp.Machine
+}
+
+// newMachine returns a machine built to cfg: a retired one, reset, when
+// the free list has one, otherwise a fresh one.
+func newMachine(cfg exp.MachineConfig) *exp.Machine {
+	retired.Lock()
+	var m *exp.Machine
+	if n := len(retired.free); n > 0 {
+		m = retired.free[n-1]
+		retired.free[n-1] = nil
+		retired.free = retired.free[:n-1]
+	}
+	retired.Unlock()
+	if m == nil {
+		return exp.MustNewMachine(cfg)
+	}
+	if err := m.Reset(cfg); err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// retire retires a machine nothing uses any more, so the list keeps only
+// its engine and bio pool reachable, and hands it to the free list, or to
+// the GC when the list is full.
+func retire(m *exp.Machine) {
+	if err := m.Retire(); err != nil {
+		panic(err)
+	}
+	retired.Lock()
+	if len(retired.free) < maxRetiredMachines {
+		retired.free = append(retired.free, m)
+	}
+	retired.Unlock()
+}
+
+// build assembles the host's machine: a reset retired one, or a fresh one.
+// The host is rebuilt, on its own machine reset, when the migration wave
+// flips it (a real migration restarts the IO stack); the controller is the
+// only thing that changes, but the rebuild seed advances so the two stacks
+// don't replay identical device noise.
 func (h *fleetHost) build(migrated bool) {
 	ctl := h.legacyCtl
 	if migrated {
@@ -122,11 +178,16 @@ func (h *fleetHost) build(migrated bool) {
 	}
 	seed := rng.DeriveSeed(h.spec.Seed,
 		fleetHostBuildTag^mix64(uint64(h.spec.Host)+1)) + uint64(h.rebuilds)
-	h.m = exp.MustNewMachine(exp.MachineConfig{
+	cfg := exp.MachineConfig{
 		Device:     h.dev,
 		Controller: ctl,
 		Seed:       seed,
-	})
+	}
+	if h.m == nil {
+		h.m = newMachine(cfg)
+	} else if err := h.m.Reset(cfg); err != nil {
+		panic(err)
+	}
 	h.rebuilds++
 	h.migrated = migrated
 
@@ -319,6 +380,12 @@ func (h *fleetHost) Tick(env fleet.HostTickEnv, acc *fleet.Summary) fleet.HostTi
 	if acc.Calib != nil {
 		acc.Calib.Protected.Merge(h.prot.ReadStats.Latency)
 		acc.Calib.BestEffort.Merge(h.bulk.ReadStats.Latency)
+	}
+
+	// After its last tick the host hands its machine on.
+	if env.Tick == h.spec.Ticks-1 {
+		retire(h.m)
+		h.m, h.prot, h.bulk = nil, nil, nil
 	}
 
 	return fleet.HostTickResult{

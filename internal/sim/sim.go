@@ -10,6 +10,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -79,6 +80,51 @@ type Engine struct {
 // New returns an empty engine at time zero.
 func New() *Engine {
 	return &Engine{hiDirty: true}
+}
+
+// Reset puts e back in New's state in place: time zero, sequence and run
+// counters cleared, no event pending. Every pending event is released into
+// the engine's event pool, as Cancel would release it, so outstanding
+// EventIDs go inert and no callback or argument of the old run stays
+// reachable; the pool's blocks and the wheel's arrays are kept, which is
+// what makes a reset engine cheaper than a fresh one. The callbacks'
+// owners (tickers, devices, controllers) are not told: Reset is for
+// retiring everything built on e at once.
+func (e *Engine) Reset() {
+	for w, word := range e.occupied0[:] {
+		for ; word != 0; word &= word - 1 {
+			s := &e.wheel0[w<<6+bits.TrailingZeros64(word)]
+			e.releaseList(*s)
+			*s = nil
+		}
+	}
+	for l := range e.occupiedHi {
+		for w, word := range e.occupiedHi[l][:] {
+			for ; word != 0; word &= word - 1 {
+				s := &e.wheelHi[l][w<<6+bits.TrailingZeros64(word)]
+				e.releaseList(*s)
+				*s = nil
+			}
+		}
+	}
+	for i, ev := range e.overflow {
+		e.release(ev)
+		e.overflow[i] = nil
+	}
+	e.overflow = e.overflow[:0]
+	e.occupied0, e.summary0, e.summary1 = [level0Words]uint64{}, [level0Words / 64]uint64{}, 0
+	e.occupiedHi, e.levelCount = [numLevels - 1][wordsPerLevel]uint64{}, [numLevels]int{}
+	e.now, e.seq, e.nrun, e.cur, e.count = 0, 0, 0, 0, 0
+	e.tHi, e.hiDirty = 0, true
+}
+
+// releaseList releases every event of one wheel slot's list.
+func (e *Engine) releaseList(ev *event) {
+	for ev != nil {
+		next := ev.next
+		e.release(ev)
+		ev = next
+	}
 }
 
 // Now returns the current simulated time.

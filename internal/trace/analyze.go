@@ -17,9 +17,9 @@ import (
 type CGSummary struct {
 	Path string
 
-	Submitted uint64
-	Completed uint64
-	ReadBytes int64
+	Submitted  uint64
+	Completed  uint64
+	ReadBytes  int64
 	WriteBytes int64
 
 	// Throttled counts bios the controller held; ThrottleNS is the summed

@@ -23,6 +23,14 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "== go test ./..."
 go test ./...
 
