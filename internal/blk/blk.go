@@ -154,10 +154,12 @@ type Queue struct {
 	timeoutF   func(any)
 
 	// Failure semantics (see RetryPolicy). The armed deadline event lives
-	// on the bio itself (no per-dispatch map insert); timedOut marks bios
-	// whose deadline fired so their eventual device completion is dropped.
+	// on the bio itself (no per-dispatch map insert); timedOut counts, per
+	// bio, the attempts whose deadline fired and whose device completion
+	// is still to come, so each of those late completions is dropped — a
+	// retried bio can time out again before its first attempt returns.
 	policy       RetryPolicy
-	timedOut     map[*bio.Bio]struct{}
+	timedOut     map[*bio.Bio]int
 	retryPending int
 
 	errors          uint64
@@ -317,7 +319,7 @@ func (q *Queue) SetRetryPolicy(p RetryPolicy) {
 	}
 	q.policy = p
 	if p.Deadline > 0 && q.timedOut == nil {
-		q.timedOut = make(map[*bio.Bio]struct{})
+		q.timedOut = make(map[*bio.Bio]int)
 	}
 }
 
@@ -454,8 +456,12 @@ func (q *Queue) timeoutFn() func(any) {
 // queue already timed out are dropped; everything else flows to finish.
 func (q *Queue) complete(b *bio.Bio) {
 	if q.timedOut != nil {
-		if _, late := q.timedOut[b]; late {
-			delete(q.timedOut, b)
+		if n := q.timedOut[b]; n > 0 {
+			if n == 1 {
+				delete(q.timedOut, b)
+			} else {
+				q.timedOut[b] = n - 1
+			}
 			q.lateCompletions++
 			return
 		}
@@ -477,7 +483,7 @@ func (q *Queue) complete(b *bio.Bio) {
 func (q *Queue) timeout(b *bio.Bio) {
 	b.DeadlineEv = sim.EventID{}
 	b.Detach()
-	q.timedOut[b] = struct{}{}
+	q.timedOut[b]++
 	q.timeouts++
 	b.Status = bio.StatusTimeout
 	b.Completed = q.eng.Now()

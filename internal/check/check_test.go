@@ -8,9 +8,12 @@ import (
 	"github.com/iocost-sim/iocost/internal/blk"
 	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/check"
+	"github.com/iocost-sim/iocost/internal/core"
 	"github.com/iocost-sim/iocost/internal/ctl"
 	"github.com/iocost-sim/iocost/internal/device"
+	"github.com/iocost-sim/iocost/internal/fault"
 	"github.com/iocost-sim/iocost/internal/sim"
+	"github.com/iocost-sim/iocost/internal/tune"
 )
 
 // collector accumulates violations instead of panicking.
@@ -210,4 +213,54 @@ func TestPanicsByDefaultOnViolation(t *testing.T) {
 	}()
 	q.Submit(&bio.Bio{Op: bio.Read, Off: 4096, Size: 4096, CG: cg})
 	eng.Run()
+}
+
+// TestRepeatedTimeoutsCompleteOnce runs iocost on a newer-gen SSD through
+// a 120ms device stall with a 30ms deadline and two retries, so a bio's
+// first attempt and its retries all time out before the stall releases
+// their late completions. Each late completion must be dropped: a queue
+// that remembered only that a bio had timed out, not how many attempts
+// were still outstanding, finished the second late completion as a real
+// one and completed the bio twice.
+func TestRepeatedTimeoutsCompleteOnce(t *testing.T) {
+	col := &collector{}
+	eng := sim.New()
+	spec := device.NewerGenSSD()
+	plan := fault.Plan{Episodes: []fault.Episode{{Kind: fault.Stall, At: 20 * sim.Millisecond, Dur: 120 * sim.Millisecond}}}
+	dev, err := fault.NewInjector(eng, device.NewSSD(eng, spec, 1), plan, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := cgroup.NewHierarchy()
+	inner := core.New(core.Config{
+		Model: core.MustLinearModel(tune.IdealSSDParams(spec)),
+		QoS:   tune.HandTunedSSD(spec),
+	})
+	san := check.Wrap(inner, check.Options{Hier: h, Fail: col.fail})
+	q := blk.New(eng, dev, san, 0)
+	q.SetRetryPolicy(blk.RetryPolicy{MaxRetries: 2, Backoff: sim.Millisecond, Deadline: 30 * sim.Millisecond})
+	cgs := []*cgroup.Node{h.Root().NewChild("a", 200), h.Root().NewChild("b", 100)}
+	off := int64(0)
+	tick := eng.NewTicker(500*sim.Microsecond, func() {
+		for _, cg := range cgs {
+			off += 1 << 16
+			q.Submit(&bio.Bio{Op: bio.Read, Off: off, Size: 4096, CG: cg})
+		}
+	})
+	eng.RunUntil(200 * sim.Millisecond)
+	tick.Stop()
+	eng.RunUntil(sim.Second)
+	san.CheckNow()
+	if q.Timeouts() == 0 || q.LateCompletions() != q.Timeouts() {
+		t.Errorf("timeouts %d, late completions dropped %d: want equal and non-zero", q.Timeouts(), q.LateCompletions())
+	}
+	if q.Failures() == 0 {
+		t.Error("no bio exhausted its retries; the stall is too short to time an attempt out three times")
+	}
+	if san.Violations() != 0 {
+		t.Fatalf("%d violations, first: %q", san.Violations(), col.msgs[0])
+	}
+	if san.Outstanding() != 0 {
+		t.Errorf("%d bios outstanding after the run drained", san.Outstanding())
+	}
 }

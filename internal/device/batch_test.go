@@ -55,7 +55,7 @@ func TestBatchedCompletionPreservesOrder(t *testing.T) {
 
 // TestBatchBrokenByInterveningEvent covers the batch registers' staleness
 // guard: once some other event is scheduled at the shared finish instant,
-// the pending finish event is no longer the tail of its wheel slot, so a
+// the pending finish event is no longer the last event of its instant, so a
 // later request must schedule its own event — chaining would run it ahead
 // of the interloper and reorder the trace.
 func TestBatchBrokenByInterveningEvent(t *testing.T) {

@@ -76,8 +76,8 @@ type engine struct {
 
 	// Completion batching, per direction: when a request's finish lands
 	// at the same instant as a previously scheduled finish event that is
-	// still the tail of its timing-wheel slot (sim.StillTail — no other
-	// event at that instant has been scheduled since), the request rides
+	// still the last event of its instant (sim.StillTail — no other event
+	// at that instant has been scheduled since), the request rides
 	// that event via the batchNext chain instead of scheduling its own.
 	// Delivery order is provably identical — the chained completion runs
 	// exactly where its own event would have — but a burst of parallel

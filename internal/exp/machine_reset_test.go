@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/iocost-sim/iocost/internal/bio"
 	"github.com/iocost-sim/iocost/internal/blk"
@@ -206,9 +207,21 @@ func TestMachineResetCollectsRetired(t *testing.T) {
 	runtime.KeepAlive(m)
 }
 
-// TestMachineResetAllocatesLittle: a reset keeps the engine (its 256 KiB
-// bottom wheel level dominates a build) and the pool's bios, so it must
-// allocate far less than a fresh build of the same machine.
+// allocatedPerCall reports the bytes f allocates per call, averaged over
+// rounds calls.
+func allocatedPerCall(rounds int, f func()) uint64 {
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	for i := 0; i < rounds; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&b)
+	return (b.TotalAlloc - a.TotalAlloc) / uint64(rounds)
+}
+
+// TestMachineResetAllocatesLittle: a reset keeps the engine and the pool's
+// bios, so it allocates only the per-build objects (device, controller,
+// queue, hierarchy), and at least a whole engine less than a fresh build.
 func TestMachineResetAllocatesLittle(t *testing.T) {
 	if check.Enabled {
 		t.Skip("the sanitizer wrapper allocates its own bookkeeping per build")
@@ -217,23 +230,37 @@ func TestMachineResetAllocatesLittle(t *testing.T) {
 	cfg := MachineConfig{Device: ssdChoice(device.NewerGenSSD()), Controller: KindIOCost, Seed: 6}
 	m := MustNewMachine(cfg)
 	runHashed(m, 50*sim.Millisecond)
-	allocated := func(f func()) uint64 {
-		var a, b runtime.MemStats
-		runtime.ReadMemStats(&a)
-		for i := 0; i < rounds; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&b)
-		return (b.TotalAlloc - a.TotalAlloc) / rounds
-	}
-	fresh := allocated(func() { MustNewMachine(cfg) })
-	reset := allocated(func() {
+	fresh := allocatedPerCall(rounds, func() { MustNewMachine(cfg) })
+	reset := allocatedPerCall(rounds, func() {
 		if err := m.Reset(cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("per build: fresh %d B, reset %d B", fresh, reset)
-	if fresh < 256<<10 || reset > fresh/4 {
-		t.Errorf("reset allocates %d B per build, fresh %d B: want reset under a quarter of fresh", reset, fresh)
+	engine := uint64(unsafe.Sizeof(sim.Engine{}))
+	t.Logf("per build: fresh %d B, reset %d B, engine %d B", fresh, reset, engine)
+	if reset > 20_000 {
+		t.Errorf("reset allocates %d B per build, want at most 20 kB", reset)
+	}
+	if fresh < reset+engine {
+		t.Errorf("fresh build allocates %d B, reset %d B: want the reset to save at least the %d B engine", fresh, reset, engine)
+	}
+}
+
+// TestEngineFootprint pins the size of an engine and of a fresh machine:
+// every experiment builds one engine per machine, so the engine's arrays
+// are most of what a fresh build allocates.
+func TestEngineFootprint(t *testing.T) {
+	if check.Enabled {
+		t.Skip("the sanitizer wrapper allocates its own bookkeeping per build")
+	}
+	engine := unsafe.Sizeof(sim.Engine{})
+	cfg := MachineConfig{Device: ssdChoice(device.NewerGenSSD()), Controller: KindIOCost, Seed: 6}
+	fresh := allocatedPerCall(20, func() { MustNewMachine(cfg) })
+	t.Logf("engine %d B, fresh machine %d B", engine, fresh)
+	if engine > 48<<10 {
+		t.Errorf("sim.Engine is %d B, want at most 48 KiB", engine)
+	}
+	if fresh > 80_000 {
+		t.Errorf("a fresh machine allocates %d B, want at most 80 kB", fresh)
 	}
 }

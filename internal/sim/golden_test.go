@@ -16,6 +16,12 @@ import (
 // Stop — and folds (now, event-id) of every executed event into an FNV-1a
 // hash.
 func traceHash(e engineIface, budget int, seed uint64) uint64 {
+	return stormHash(e, budget, seed, []Time{0, 1, 3, 100, 255, 256, 1000, 65535, 70000, 3 * Millisecond,
+		900 * Millisecond, 5 * Second, 17 * Second})
+}
+
+// stormHash is traceHash over a caller-chosen set of scheduling horizons.
+func stormHash(e engineIface, budget int, seed uint64, horizons []Time) uint64 {
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
@@ -33,9 +39,6 @@ func traceHash(e engineIface, budget int, seed uint64) uint64 {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return (rng >> 33) % n
 	}
-
-	horizons := []Time{0, 1, 3, 100, 255, 256, 1000, 65535, 70000, 3 * Millisecond,
-		900 * Millisecond, 5 * Second, 17 * Second}
 
 	var pending []EventID
 	nextID := uint64(1)
@@ -117,6 +120,27 @@ func TestEngineMatchesReference(t *testing.T) {
 		b := traceHash(newRefEngine(), 2000, seed*2654435761)
 		if a != b {
 			t.Fatalf("seed %d: engine trace %#x != reference trace %#x", seed, a, b)
+		}
+	}
+}
+
+// TestEngineMatchesReferenceDense repeats the cross-check on storms packed
+// into a few nanoseconds, so that many instants share one bottom-level
+// bucket and the storm's random cancels land in the middle of a bucket's
+// list. The second horizon set adds arrivals cascaded down from level 1
+// onto instants that direct inserts already occupy.
+func TestEngineMatchesReferenceDense(t *testing.T) {
+	sets := [][]Time{
+		{0, 1, 2, 3, 5, 7, 11, 13, 15},
+		{0, 3, 9, 15, 16, 1<<15 - 2, 1<<15 + 5, 1<<16 + 9},
+	}
+	for i, horizons := range sets {
+		for seed := uint64(1); seed <= 25; seed++ {
+			a := stormHash(New(), 3000, seed*2654435761, horizons)
+			b := stormHash(newRefEngine(), 3000, seed*2654435761, horizons)
+			if a != b {
+				t.Fatalf("horizon set %d, seed %d: engine trace %#x != reference trace %#x", i, seed, a, b)
+			}
 		}
 	}
 }

@@ -53,17 +53,14 @@ type Engine struct {
 	// whenever the engine is not inside popNext.
 	cur   Time
 	count int
-	// wheel0 is the wide bottom level (single-nanosecond slots); wheelHi
-	// holds the coarser levels 1..numLevels-1. See wheel.go.
-	wheel0  [level0Slots]slot
+	// wheel0 is the bottom level's ring of (at, seq)-sorted buckets;
+	// wheelHi holds the coarser levels 1..numLevels-1. See wheel.go.
+	wheel0  [level0Buckets]slot
 	wheelHi [numLevels - 1][slotsPerLevel]slot
-	// occupied0 marks non-empty level-0 slots; summary0 marks non-zero
-	// occupied0 words; summary1 marks non-zero summary0 words. Together
-	// they turn the next-event scan across the wide bottom level into at
-	// most three find-first-set steps regardless of how sparse it is.
+	// occupied0 marks non-empty level-0 buckets and summary0 its non-zero
+	// words: the next-event scan is at most two find-first-set steps.
 	occupied0  [level0Words]uint64
-	summary0   [level0Words / 64]uint64
-	summary1   uint64
+	summary0   uint64
 	occupiedHi [numLevels - 1][wordsPerLevel]uint64
 	levelCount [numLevels]int
 	overflow   []*event
@@ -112,7 +109,7 @@ func (e *Engine) Reset() {
 		e.overflow[i] = nil
 	}
 	e.overflow = e.overflow[:0]
-	e.occupied0, e.summary0, e.summary1 = [level0Words]uint64{}, [level0Words / 64]uint64{}, 0
+	e.occupied0, e.summary0 = [level0Words]uint64{}, 0
 	e.occupiedHi, e.levelCount = [numLevels - 1][wordsPerLevel]uint64{}, [numLevels]int{}
 	e.now, e.seq, e.nrun, e.cur, e.count = 0, 0, 0, 0, 0
 	e.tHi, e.hiDirty = 0, true
@@ -138,20 +135,16 @@ func (e *Engine) EventsRun() uint64 { return e.nrun }
 func (e *Engine) Pending() int { return e.count }
 
 // StillTail reports whether id refers to a pending event that sits in the
-// wheel's bottom level as the last event of its instant. A level-0 slot
-// holds exactly one instant in seq order, so a true result guarantees no
-// other event will run between this one and work appended to run directly
-// after its callback — piggybacking on it is indistinguishable from
-// scheduling a fresh event at the same instant. Events parked on coarser
-// levels or in the overflow heap return false (their slots are unordered),
-// as do events that already ran or were cancelled.
+// wheel's bottom level as the last event of its instant. A level-0 bucket
+// is (at, seq)-sorted, so a true result guarantees no other event will run
+// between this one and work appended to run directly after its callback —
+// piggybacking on it is indistinguishable from scheduling a fresh event at
+// the same instant. Events parked on coarser levels or in the overflow
+// heap return false (their slots are unordered), as do events that already
+// ran or were cancelled.
 func (e *Engine) StillTail(id EventID) bool {
 	ev := id.e
-	if ev == nil || ev.gen != id.gen || ev.level != 0 {
-		return false
-	}
-	h := ev.owner.wheel0[ev.slotIdx]
-	return h != nil && h.prev == ev
+	return ev != nil && ev.gen == id.gen && ev.level == 0 && (ev.next == nil || ev.next.at != ev.at)
 }
 
 // At schedules fn to run at the absolute time at. Scheduling in the past

@@ -5,32 +5,34 @@ import "math/bits"
 // The engine's scheduler is a hierarchical timing wheel with an overflow
 // min-heap and a free-list event pool:
 //
-//   - Level 0 is deliberately wide: 2^level0Bits single-nanosecond slots
-//     (~33µs). Device service times — the bulk of all scheduled events —
-//     land directly in it, so the common event never cascades at all and
-//     the pop path stays on the level-0 fast path. Levels 1..numLevels-1
-//     have slotsPerLevel slots of geometrically coarser granularity; the
-//     whole wheel spans 2^wheelSpanBits ns (~9 min) ahead of the cursor.
-//     Schedule and cancel are O(1); each event cascades at most
-//     numLevels-1 times on its way down, so the run path is O(1) amortized.
+//   - Level 0 holds every event less than 2^level0Bits ns (~33µs) ahead of
+//     the cursor, in a ring of level0Buckets buckets of 2^bucketBits ns.
+//     The ring covers twice that span, so a bucket never holds events of
+//     two laps. Levels 1..numLevels-1 have slotsPerLevel slots of
+//     geometrically coarser granularity; the whole wheel spans
+//     2^wheelSpanBits ns (~9 min) ahead of the cursor. Schedule and cancel
+//     are O(1) bar the bucket walk below; each event cascades at most
+//     numLevels-1 times on its way down, so the run path is O(1)
+//     amortized.
 //   - Events farther out than the wheel span wait in a (time, seq) min-heap
 //     and are drained into the wheel as the cursor approaches.
 //   - Executed and cancelled events return to a per-engine free list, so the
 //     steady-state schedule/run path performs no allocation.
 //
-// Exact (time, seq) FIFO order is preserved: a level-0 slot holds events of
-// a single instant and is kept seq-sorted (direct inserts arrive in seq
-// order and append in O(1); cascaded arrivals insertion-sort near the tail),
-// and a level-0 event only runs when its time is strictly earlier than every
-// occupied higher-level slot's base time — on a tie the higher slot is
-// cascaded first, since it may hold an earlier-seq event of the same
-// instant.
+// Exact (time, seq) FIFO order is preserved: a level-0 bucket is kept
+// (time, seq)-sorted (inserts arrive in that order far more often than not
+// and append in O(1); the rest walk back from the tail), and a level-0
+// event only runs when its time is strictly earlier than every occupied
+// higher-level slot's base time — on a tie the higher slot is cascaded
+// first, since it may hold an earlier-seq event of the same instant.
 const (
-	// level0Bits sizes the wide bottom level: 2^15 1ns slots = ~33µs.
-	level0Bits  = 15
-	level0Slots = 1 << level0Bits
-	level0Mask  = level0Slots - 1
-	level0Words = level0Slots / 64
+	// level0Bits is the bottom level's span: 2^15 ns = ~33µs.
+	level0Bits = 15
+	// bucketBits is the width of a level-0 bucket: 2^4 = 16 ns.
+	bucketBits    = 4
+	level0Buckets = 1 << (level0Bits + 1 - bucketBits)
+	level0Mask    = level0Buckets - 1
+	level0Words   = level0Buckets / 64
 
 	// Levels 1..numLevels-1 each have slotsPerLevel slots; level l's slot
 	// granularity is 2^lvlShift[l] ns.
@@ -49,24 +51,23 @@ const (
 	eventBlock = 64
 )
 
-// summary1 is a single word, so the bottom level may use at most 64
-// summary0 words (compile-time assertion).
-var _ [64 - level0Words/64]struct{}
+// summary0 is a single word, so the bottom level may use at most 64
+// occupancy words (compile-time assertion).
+var _ [64 - level0Words]struct{}
 
 // lvlShift[l] is the bit position of level l's slot index within a time;
 // lvlSpanBits[l] is how many time bits levels 0..l cover together, i.e. an
 // event with delta < 1<<lvlSpanBits[l] fits at level l or below.
 var (
-	lvlShift    = [numLevels]uint{0, level0Bits, level0Bits + levelBits, level0Bits + 2*levelBits}
+	lvlShift    = [numLevels]uint{bucketBits, level0Bits, level0Bits + levelBits, level0Bits + 2*levelBits}
 	lvlSpanBits = [numLevels]uint{level0Bits, level0Bits + levelBits, level0Bits + 2*levelBits, wheelSpanBits}
 	lvlMask     = [numLevels]int{level0Mask, slotMask, slotMask, slotMask}
 )
 
-// A wheel slot is a single pointer to the head of an intrusive
-// doubly-linked event list, with the tail reachable as head.prev (the
-// head's prev link is otherwise unused). One word per slot keeps the wide
-// bottom level's array — and the cache footprint of slot probes — half of
-// what a head+tail pair would cost. Within a list, tail.next is nil.
+// A wheel slot (or level-0 bucket) is a single pointer to the head of an
+// intrusive doubly-linked event list, with the tail reachable as head.prev
+// (the head's prev link is otherwise unused). Within a list, tail.next is
+// nil.
 type slot = *event
 
 // event is a scheduled callback. Its storage is pooled; gen distinguishes
@@ -131,8 +132,7 @@ func (e *Engine) setBit(l, idx int) {
 	if l == 0 {
 		w := idx >> 6
 		e.occupied0[w] |= 1 << uint(idx&63)
-		e.summary0[w>>6] |= 1 << uint(w&63)
-		e.summary1 |= 1 << uint(w>>6)
+		e.summary0 |= 1 << uint(w)
 		return
 	}
 	e.occupiedHi[l-1][idx>>6] |= 1 << uint(idx&63)
@@ -143,10 +143,7 @@ func (e *Engine) clearBit(l, idx int) {
 		w := idx >> 6
 		e.occupied0[w] &^= 1 << uint(idx&63)
 		if e.occupied0[w] == 0 {
-			e.summary0[w>>6] &^= 1 << uint(w&63)
-			if e.summary0[w>>6] == 0 {
-				e.summary1 &^= 1 << uint(w>>6)
-			}
+			e.summary0 &^= 1 << uint(w)
 		}
 		return
 	}
@@ -174,9 +171,9 @@ func (e *Engine) enqueue(ev *event) {
 	e.heapPush(ev)
 }
 
-// pushSlot links ev into wheel slot (l, idx). Level-0 slots hold a single
-// instant and stay sorted by seq; higher levels are unordered (ordering is
-// re-established when they cascade down to level 0).
+// pushSlot links ev into wheel slot (l, idx). Level-0 buckets stay sorted
+// by (at, seq); higher levels are unordered (ordering is re-established
+// when they cascade down to level 0).
 func (e *Engine) pushSlot(l, idx int, ev *event) {
 	ev.level, ev.slotIdx = int8(l), uint16(idx)
 	if l != 0 {
@@ -189,16 +186,17 @@ func (e *Engine) pushSlot(l, idx int, ev *event) {
 		ev.prev, ev.next = ev, nil // sole element: its own tail
 		*s = ev
 		e.setBit(l, idx)
-	case l != 0 || h.prev.seq < ev.seq:
+	case l != 0 || eventLess(h.prev, ev):
 		t := h.prev
 		t.next = ev
 		ev.prev, ev.next = t, nil
 		h.prev = ev
 	default:
-		// Cascaded arrival with an out-of-order seq: walk back from the
-		// tail to its sorted position and insert before p.
+		// An earlier instant than the bucket's tail, or a cascaded
+		// arrival with an earlier seq: walk back from the tail to its
+		// sorted position and insert before p.
 		p := h.prev
-		for p != h && p.prev.seq > ev.seq {
+		for p != h && eventLess(ev, p.prev) {
 			p = p.prev
 		}
 		ev.prev, ev.next = p.prev, p
@@ -239,7 +237,7 @@ func (e *Engine) unlinkWheel(ev *event) {
 	e.levelCount[ev.level]--
 }
 
-// popSlot0 removes and returns the seq-first event of level-0 slot idx and
+// popSlot0 removes and returns the first event of level-0 bucket idx and
 // advances the cursor to its instant.
 func (e *Engine) popSlot0(idx int) *event {
 	s := &e.wheel0[idx]
@@ -283,50 +281,32 @@ func (e *Engine) nextOccupied(l, from int) (int, bool) {
 	return 0, false
 }
 
-// nextOccupied0 is nextOccupied for the wide bottom level: the two summary
-// bitmaps locate the first non-empty occupancy word in O(1), so the scan
-// costs a handful of find-first-set steps however sparse the level is.
+// nextOccupied0 is nextOccupied for the bottom level: the summary word
+// locates the first non-empty occupancy word, so the scan costs at most
+// two find-first-set steps however sparse the level is.
 func (e *Engine) nextOccupied0(from int) (int, bool) {
 	w := from >> 6
 	off := uint(from & 63)
 	if v := e.occupied0[w] >> off; v != 0 {
 		return from + bits.TrailingZeros64(v), true
 	}
-	// First non-zero occupancy word strictly after w within w's summary
-	// word, then later summary words (via the top mask), then wrap back.
-	sw := w >> 6
-	if v := e.summary0[sw] >> uint(w&63+1); v != 0 {
-		wi := w + 1 + bits.TrailingZeros64(v)
-		return wi<<6 + bits.TrailingZeros64(e.occupied0[wi]), true
+	// The first non-empty word after w, else the first one from the start
+	// of the ring up to w, of which only the bits below off remain.
+	var wi int
+	if v := e.summary0 >> uint(w+1); v != 0 {
+		wi = w + 1 + bits.TrailingZeros64(v)
+	} else if v = e.summary0 & (2<<uint(w) - 1); v != 0 {
+		wi = bits.TrailingZeros64(v)
+	} else {
+		return 0, false
 	}
-	if v := e.summary1 >> uint(sw+1); v != 0 {
-		swi := sw + 1 + bits.TrailingZeros64(v)
-		wi := swi<<6 + bits.TrailingZeros64(e.summary0[swi])
-		return wi<<6 + bits.TrailingZeros64(e.occupied0[wi]), true
-	}
-	// Wrapped: summary words 0..sw in increasing (circular) order. Within
-	// word sw only occupancy words <= w remain, and within occupancy word
-	// w only bits below off.
-	for v := e.summary1 & (1<<uint(sw+1) - 1); v != 0; v &= v - 1 {
-		swi := bits.TrailingZeros64(v)
-		sv := e.summary0[swi]
-		if swi == sw {
-			sv &= ^(^uint64(0) << uint(w&63+1))
-			if sv == 0 {
-				break
-			}
+	word := e.occupied0[wi]
+	if wi == w {
+		if word &= 1<<off - 1; word == 0 {
+			return 0, false
 		}
-		wi := swi<<6 + bits.TrailingZeros64(sv)
-		word := e.occupied0[wi]
-		if wi == w {
-			word &= ^(^uint64(0) << off)
-			if word == 0 {
-				break
-			}
-		}
-		return wi<<6 + bits.TrailingZeros64(word), true
 	}
-	return 0, false
+	return wi<<6 + bits.TrailingZeros64(word), true
 }
 
 // drainable reports whether an event at `at` can be placed in the wheel
@@ -385,12 +365,11 @@ func (e *Engine) popNext(limit Time) *event {
 		}
 		return nil
 	}
-	// Fast path: every pending event lives in level 0 (within ~65µs of the
+	// Fast path: every pending event lives in level 0 (within ~33µs of the
 	// cursor), so no drain, cascade, or higher-level comparison can matter.
 	if e.count == e.levelCount[0] {
-		cursor := int(e.cur) & level0Mask
-		idx, _ := e.nextOccupied0(cursor)
-		if t0 := e.cur + Time((idx-cursor)&level0Mask); t0 > limit {
+		idx, _ := e.nextOccupied0(int(e.cur>>bucketBits) & level0Mask)
+		if e.wheel0[idx].at > limit {
 			e.advance(limit)
 			return nil
 		}
@@ -402,14 +381,13 @@ func (e *Engine) popNext(limit Time) *event {
 			e.enqueue(e.heapRemove(0))
 		}
 
-		// Exact earliest instant resident in level 0.
+		// Exact earliest instant resident in level 0: the head of the
+		// first occupied bucket at or after the cursor's.
 		t0 := maxTime
 		idx0 := 0
 		if e.levelCount[0] > 0 {
-			cursor := int(e.cur) & level0Mask
-			if idx, ok := e.nextOccupied0(cursor); ok {
-				t0 = e.cur + Time((idx-cursor)&level0Mask)
-				idx0 = idx & level0Mask
+			if idx, ok := e.nextOccupied0(int(e.cur>>bucketBits) & level0Mask); ok {
+				t0, idx0 = e.wheel0[idx].at, idx
 			}
 		}
 

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Tier-2 CI: everything tier-1 (build + test) checks, plus static vetting
-# and the race detector. The race pass exercises the parallel experiment
-# fan-out (-exp.parallel), which is what proves experiment cells really are
+# Tier-2 CI: everything tier-1 (build + test) checks, plus static vetting,
+# a sanitizer pass over the engine, device and block layer, and the race
+# detector. The race pass exercises the parallel experiment fan-out
+# (-exp.parallel), which is what proves experiment cells really are
 # independent — a data race between cells fails this script, not just a
 # flaky benchmark.
 #
@@ -33,6 +34,12 @@ fi
 
 echo "== go test ./..."
 go test ./...
+
+echo "== go test -tags sanitizer (sim, device, blk)"
+# Seconds, not minutes: the engine, device and block-layer packages with
+# the invariant sanitizer compiled in, so a per-bio life-cycle break fails
+# tier-2 rather than waiting for tier-3's whole-suite pass.
+go test -tags sanitizer ./internal/sim ./internal/device ./internal/blk
 
 echo "== go test -race ./..."
 # internal/exp's TestParallelMatchesSerial toggles the parallel fan-out
