@@ -100,6 +100,9 @@ func (p *Pool) Put(b *Bio) {
 	if b.inPool {
 		panic("bio: double Put (bio already in pool)")
 	}
+	if sanitize && b.listed {
+		panic("bio: Put of a bio still on a list")
+	}
 	p.recycle(b)
 	p.puts++
 }

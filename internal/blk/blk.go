@@ -14,7 +14,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/bio"
 	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/device"
-	"github.com/iocost-sim/iocost/internal/ring"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/stats"
 )
@@ -102,7 +101,7 @@ type Queue struct {
 	tags int
 
 	inflight int
-	tagWait  ring.Queue[*bio.Bio]
+	tagWait  bio.List
 	seq      uint64
 
 	// Depletion accounting: time spent with issued bios waiting for tags,
@@ -137,10 +136,6 @@ type Queue struct {
 	// pool is the queue's bio free list: workloads draw submissions from
 	// it and finish recycles them after the final OnDone.
 	pool *bio.Pool
-
-	// plug, when non-nil, is the active plug list: submissions accumulate
-	// there and flush, in order, on FinishPlug.
-	plug *Plug
 
 	// obs are the registered life-cycle observers, invoked in
 	// registration order at every hook.
@@ -259,57 +254,6 @@ func (q *Queue) Observers() []Observer {
 	return out
 }
 
-// Plug is a submission batch, mirroring the kernel's blk_plug: while a plug
-// is active on a queue, Submit only appends to the plug list, and
-// FinishPlug replays the batch — each bio through the full submit path, in
-// submission order, at the (single) flush instant. Because discrete-event
-// time does not advance while user code runs, a plugged batch observes the
-// same clock, the same sequence numbers and the same controller state as
-// unplugged submission, so schedules are byte-identical; what batching buys
-// is amortization: one plug-state check per Submit instead of the full
-// path, and the controller/device fast-path caches (hweight, cost, iostat)
-// stay hot across the whole batch instead of being interleaved with
-// completion work.
-//
-// The zero value is ready to use and a Plug may be reused after FinishPlug
-// (the backing array is retained).
-type Plug struct {
-	bios []*bio.Bio
-	q    *Queue
-}
-
-// Pending returns how many submissions the plug is holding.
-func (p *Plug) Pending() int { return len(p.bios) }
-
-// StartPlug activates p on the queue. Nested plugs are ignored (the
-// outermost wins), as in the kernel: StartPlug on a queue that is already
-// plugged leaves the active plug in place and FinishPlug of the inner plug
-// is a no-op.
-func (q *Queue) StartPlug(p *Plug) {
-	if q.plug != nil || p == nil {
-		return
-	}
-	p.q = q
-	p.bios = p.bios[:0]
-	q.plug = p
-}
-
-// FinishPlug deactivates p and flushes its submissions in order. Only the
-// plug that StartPlug actually armed flushes; finishing an inner (ignored)
-// plug does nothing.
-func (q *Queue) FinishPlug(p *Plug) {
-	if p == nil || q.plug != p {
-		return
-	}
-	q.plug = nil
-	p.q = nil
-	for i, b := range p.bios {
-		p.bios[i] = nil
-		q.Submit(b)
-	}
-	p.bios = p.bios[:0]
-}
-
 // SetRetryPolicy configures failure handling. Call before the simulation
 // runs; changing the policy mid-flight leaves already-armed deadlines on
 // their old schedule.
@@ -356,14 +300,8 @@ func (q *Queue) Completions() uint64 { return q.completions }
 func (q *Queue) IssuedBytes() uint64 { return q.issuedBytes }
 
 // Submit passes b into the block layer. The controller decides when it
-// reaches the device. While a plug is active (StartPlug) the bio only
-// joins the plug list; FinishPlug replays the batch through this same
-// path, in order, at the same virtual instant.
+// reaches the device.
 func (q *Queue) Submit(b *bio.Bio) {
-	if q.plug != nil {
-		q.plug.bios = append(q.plug.bios, b)
-		return
-	}
 	b.Submitted = q.eng.Now()
 	b.Seq = q.seq
 	q.seq++
@@ -507,7 +445,7 @@ func (q *Queue) finish(b *bio.Bio) {
 		q.busyTime += q.eng.Now() - q.busyFrom
 	}
 
-	if next, ok := q.tagWait.Pop(); ok {
+	if next := q.tagWait.Pop(); next != nil {
 		if q.tagWait.Empty() && q.depleted {
 			q.depleted = false
 			d := q.eng.Now() - q.depletedFrom
@@ -529,7 +467,7 @@ func (q *Queue) finish(b *bio.Bio) {
 
 	q.ctl.Completed(b)
 
-	if b.Status != bio.StatusOK && b.Retries < q.policy.MaxRetries {
+	if b.Status != bio.StatusOK && int(b.Retries) < q.policy.MaxRetries {
 		// Requeue with exponential backoff. The bio re-enters Submit as a
 		// fresh attempt — every controller observes and is charged for the
 		// retried work, which is exactly the graceful-degradation signal

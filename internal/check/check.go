@@ -185,7 +185,7 @@ func (s *Sanitizer) Submit(b *bio.Bio) {
 	if b.Status != bio.StatusOK {
 		s.fail("bio %v submitted carrying failed status %v", b, b.Status)
 	}
-	if b.Retries < 0 || b.Retries > s.q.RetryPolicy().MaxRetries {
+	if b.Retries < 0 || int(b.Retries) > s.q.RetryPolicy().MaxRetries {
 		s.fail("bio %v retry count %d outside policy bound %d",
 			b, b.Retries, s.q.RetryPolicy().MaxRetries)
 	}
@@ -281,7 +281,7 @@ func (s *Sanitizer) OnComplete(b *bio.Bio) {
 				b, b.DeviceLatency(), policy.Deadline)
 		}
 	}
-	if b.Retries > s.q.RetryPolicy().MaxRetries {
+	if int(b.Retries) > s.q.RetryPolicy().MaxRetries {
 		s.fail("bio %v completed with retry count %d beyond policy bound %d",
 			b, b.Retries, s.q.RetryPolicy().MaxRetries)
 	}

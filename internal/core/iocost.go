@@ -5,7 +5,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/blk"
 	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/ctl"
-	"github.com/iocost-sim/iocost/internal/ring"
 	"github.com/iocost-sim/iocost/internal/sim"
 )
 
@@ -162,7 +161,7 @@ type iocg struct {
 	vtime   float64
 	lastEnd int64 // for sequential detection
 	debt    float64
-	waiters ring.Queue[waiter]
+	waiters bio.List // each bio's Charge is its absolute cost
 	kick    sim.EventID
 	kickAt  sim.Time // 0 when no kick scheduled
 	// kickFn is the persistent wake-up closure; built once at state
@@ -205,11 +204,6 @@ func (st *iocg) noteDebt(now sim.Time) {
 		st.indebtNS += now - st.debtSince
 		st.debtEndAt = now
 	}
-}
-
-type waiter struct {
-	b   *bio.Bio
-	abs float64
 }
 
 // New builds an IOCost controller from cfg. It panics on invalid
@@ -490,7 +484,8 @@ func (c *Controller) enqueue(st *iocg, b *bio.Bio, abs float64) {
 	if st.cg.Inuse() < st.cg.Weight() {
 		st.cg.ResetInuse()
 	}
-	st.waiters.Push(waiter{b, abs})
+	b.Charge = abs
+	st.waiters.Push(b)
 	st.hadWait = true
 	c.shortage = true
 	c.totalWaited++
@@ -506,22 +501,22 @@ func (c *Controller) kickWaiters(st *iocg) {
 
 	hadWaiters := !st.waiters.Empty()
 	for st.debt == 0 {
-		w, ok := st.waiters.Peek()
-		if !ok {
+		b := st.waiters.Peek()
+		if b == nil {
 			break
 		}
 		hw := st.cg.HweightInuse()
-		rel := w.abs / hw
+		rel := b.Charge / hw
 		if st.vtime+rel > gV+marginMinPct*c.periodVns() {
 			break
 		}
 		st.vtime += rel
-		st.usage += w.abs
-		st.lifetimeUsage += w.abs
+		st.usage += b.Charge
+		st.lifetimeUsage += b.Charge
 		st.waiters.Pop()
-		st.waitNS += now - w.b.Submitted
+		st.waitNS += now - b.Submitted
 		c.totalIssued++
-		c.q.Issue(w.b)
+		c.q.Issue(b)
 	}
 
 	if st.waiters.Empty() {
@@ -543,8 +538,7 @@ func (c *Controller) kickWaiters(st *iocg) {
 	if st.debt > 0 {
 		needV = st.vtime + st.debt/hw - gV
 	} else {
-		head, _ := st.waiters.Peek()
-		needV = st.vtime + head.abs/hw - gV - marginMinPct*c.periodVns()
+		needV = st.vtime + st.waiters.Peek().Charge/hw - gV - marginMinPct*c.periodVns()
 	}
 	if needV < 0 {
 		needV = 0
@@ -643,10 +637,10 @@ func (c *Controller) periodTick() {
 			st.noteDebt(now)
 		}
 		if DebugSlowWaiter != nil && !st.waiters.Empty() {
-			head, _ := st.waiters.Peek()
-			if age := now - head.b.Submitted; age > 200*sim.Millisecond {
+			head := st.waiters.Peek()
+			if age := now - head.Submitted; age > 200*sim.Millisecond {
 				hw := cg.HweightInuse()
-				DebugSlowWaiter(cg, age, st.waiters.Len(), gV-st.vtime, head.abs/hw, hw, c.vrate, st.debt)
+				DebugSlowWaiter(cg, age, st.waiters.Len(), gV-st.vtime, head.Charge/hw, hw, c.vrate, st.debt)
 			}
 		}
 		c.kickWaiters(st)

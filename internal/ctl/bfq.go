@@ -57,7 +57,7 @@ const sectorSize = 512
 
 type bfqQueue struct {
 	cg       *cgroup.Node
-	pending  fifo
+	pending  bio.List
 	vtag     float64 // virtual time in sectors/weight
 	weight   float64
 	inFlight int
@@ -99,13 +99,13 @@ func (c *BFQ) queueFor(cg *cgroup.Node) *bfqQueue {
 // Submit implements blk.Controller.
 func (c *BFQ) Submit(b *bio.Bio) {
 	bq := c.queueFor(b.CG)
-	wasEmpty := bq.pending.len() == 0
-	bq.pending.push(b)
+	wasEmpty := bq.pending.Len() == 0
+	bq.pending.Push(b)
 	// Refresh weight in case the cgroup's configuration changed.
 	if b.CG != nil {
 		bq.weight = b.CG.Weight()
 	}
-	if wasEmpty && bq.pending.len() == 1 && bq.inFlight == 0 {
+	if wasEmpty && bq.pending.Len() == 1 && bq.inFlight == 0 {
 		// A queue becoming busy enters the service tree at no earlier
 		// than the current minimum, so long-idle queues cannot claim a
 		// huge backlog.
@@ -125,7 +125,7 @@ func (c *BFQ) Submit(b *bio.Bio) {
 func (c *BFQ) minBusyVtag() (float64, bool) {
 	min, ok := math.MaxFloat64, false
 	for _, bq := range c.order {
-		if (bq.pending.len() > 0 || bq.inFlight > 0) && bq.vtag < min {
+		if (bq.pending.Len() > 0 || bq.inFlight > 0) && bq.vtag < min {
 			min, ok = bq.vtag, true
 		}
 	}
@@ -137,7 +137,7 @@ func (c *BFQ) Completed(b *bio.Bio) {
 	bq := c.queueFor(b.CG)
 	bq.inFlight--
 	bq.lastSync = b.Op == bio.Read || b.Flags.Has(bio.Sync)
-	if c.active == bq && bq.pending.len() == 0 && bq.inFlight == 0 {
+	if c.active == bq && bq.pending.Len() == 0 && bq.inFlight == 0 {
 		// The in-service queue ran dry: idle on sync queues, otherwise
 		// expire the slot immediately.
 		if bq.lastSync && c.SliceIdle > 0 && !c.idling {
@@ -165,7 +165,7 @@ func (c *BFQ) stopIdle() {
 func (c *BFQ) selectQueue() {
 	var best *bfqQueue
 	for _, bq := range c.order {
-		if bq.pending.len() == 0 {
+		if bq.pending.Len() == 0 {
 			continue
 		}
 		if best == nil || bq.vtag < best.vtag {
@@ -203,12 +203,12 @@ func (c *BFQ) pump() {
 	if bq == nil {
 		return
 	}
-	for bq.pending.len() > 0 && bq.inFlight < c.MaxInFlight && c.q.InFlight() < c.q.Tags() {
+	for bq.pending.Len() > 0 && bq.inFlight < c.MaxInFlight && c.q.InFlight() < c.q.Tags() {
 		if c.served >= c.MaxBudget {
 			c.expireSlot(false)
 			return
 		}
-		b := bq.pending.pop()
+		b := bq.pending.Pop()
 		c.served += (b.Size + sectorSize - 1) / sectorSize
 		bq.inFlight++
 		c.q.Issue(b)

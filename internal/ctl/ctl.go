@@ -20,7 +20,6 @@ package ctl
 import (
 	"github.com/iocost-sim/iocost/internal/bio"
 	"github.com/iocost-sim/iocost/internal/blk"
-	"github.com/iocost-sim/iocost/internal/ring"
 )
 
 // Rating describes how fully a mechanism provides a feature in the paper's
@@ -61,31 +60,6 @@ type Features struct {
 type FeatureReporter interface {
 	Features() Features
 }
-
-// fifo is a FIFO of bios used by several controllers; backlogs can reach
-// millions of entries when throttling overloaded workloads, so it is backed
-// by an O(1)-pop ring.
-type fifo struct{ q ring.Queue[*bio.Bio] }
-
-func (f *fifo) push(b *bio.Bio) { f.q.Push(b) }
-
-func (f *fifo) pop() *bio.Bio {
-	b, ok := f.q.Pop()
-	if !ok {
-		return nil
-	}
-	return b
-}
-
-func (f *fifo) peek() *bio.Bio {
-	b, ok := f.q.Peek()
-	if !ok {
-		return nil
-	}
-	return b
-}
-
-func (f *fifo) len() int { return f.q.Len() }
 
 // None is the pass-through "no scheduler" configuration.
 type None struct{ q *blk.Queue }

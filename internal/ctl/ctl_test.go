@@ -96,6 +96,23 @@ func TestThrottleIsNotWorkConserving(t *testing.T) {
 	}
 }
 
+// TestThrottleDelayedAdmissionAllocatesNothing: a bio a bucket delays
+// waits on a pooled engine event, not a per-bio closure.
+func TestThrottleDelayedAdmissionAllocatesNothing(t *testing.T) {
+	c := ctl.NewThrottle()
+	r := newRig(t, c)
+	cg := r.hier.Root().NewChild("w", 100)
+	c.SetLimits(cg, ctl.ThrottleLimits{ReadIOPS: 1000})
+	saturate(r, cg, 0, 4)
+	r.eng.RunUntil(500 * sim.Millisecond)
+	allocs := testing.AllocsPerRun(20, func() {
+		r.eng.RunUntil(r.eng.Now() + 10*sim.Millisecond)
+	})
+	if allocs != 0 {
+		t.Errorf("throttled 10 ms window allocated %.1f objects, want 0", allocs)
+	}
+}
+
 func TestIOLatencyThrottlesLowerPriority(t *testing.T) {
 	c := ctl.NewIOLatency()
 	r := newRig(t, c)

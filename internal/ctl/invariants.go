@@ -31,9 +31,9 @@ func (c *BFQ) CheckInvariants(fail func(msg string)) {
 		if math.IsNaN(bq.vtag) || math.IsInf(bq.vtag, 0) || bq.vtag < 0 {
 			failf("bfq: queue %s vtag %v negative or non-finite", name, bq.vtag)
 		}
-		if c.active == nil && bq.pending.len() > 0 {
+		if c.active == nil && bq.pending.Len() > 0 {
 			failf("bfq: no queue in service but %s has %d pending bios — they would hang",
-				name, bq.pending.len())
+				name, bq.pending.Len())
 		}
 	}
 	if want := c.q.InFlight() + c.q.Waiting(); total != want {
@@ -67,9 +67,9 @@ func (c *IOLatency) CheckInvariants(fail func(msg string)) {
 		if st.inFlight < 0 {
 			failf("iolatency: state %d in-flight %d negative", i, st.inFlight)
 		}
-		if st.wait.len() > 0 && st.inFlight < st.depth {
+		if st.wait.Len() > 0 && st.inFlight < st.depth {
 			failf("iolatency: state %d holds %d bios below its depth limit (%d in flight < depth %d) — they would hang",
-				i, st.wait.len(), st.inFlight, st.depth)
+				i, st.wait.Len(), st.inFlight, st.depth)
 		}
 	}
 }
@@ -87,9 +87,9 @@ func (c *Kyber) CheckInvariants(fail func(msg string)) {
 		if c.inUse[op] < 0 {
 			failf("kyber: %s in-use count %d negative", dir, c.inUse[op])
 		}
-		if c.wait[op].len() > 0 && c.inUse[op] < c.depth[op] {
+		if c.wait[op].Len() > 0 && c.inUse[op] < c.depth[op] {
 			failf("kyber: %s holds %d bios below its depth limit (%d < %d) — they would hang",
-				dir, c.wait[op].len(), c.inUse[op], c.depth[op])
+				dir, c.wait[op].Len(), c.inUse[op], c.depth[op])
 		}
 	}
 }

@@ -95,7 +95,7 @@ func TestSelfChecksCatchInjectedCorruption(t *testing.T) {
 		q := blk.New(eng, dev, c, 32)
 		_ = q
 		bq := c.queueFor(cg)
-		bq.pending.push(&bio.Bio{Op: bio.Read, Size: 4096, CG: cg})
+		bq.pending.Push(&bio.Bio{Op: bio.Read, Size: 4096, CG: cg})
 		c.active = nil // bug: pending work with nobody in service
 		wantViolation(t, c, "would hang")
 	})
@@ -111,7 +111,7 @@ func TestSelfChecksCatchInjectedCorruption(t *testing.T) {
 		st := c.stateFor(cg)
 		st.depth = 8
 		st.inFlight = 2
-		st.wait.push(&bio.Bio{Op: bio.Read, Size: 4096, CG: cg})
+		st.wait.Push(&bio.Bio{Op: bio.Read, Size: 4096, CG: cg})
 		wantViolation(t, c, "would hang")
 	})
 	t.Run("kyber negative inuse", func(t *testing.T) {

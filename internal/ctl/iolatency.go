@@ -45,7 +45,7 @@ type iolatState struct {
 	lat      *stats.Histogram
 	depth    int // current allowed in-flight; maxInt when unthrottled
 	inFlight int
-	wait     fifo
+	wait     bio.List
 	okRuns   int // consecutive clean windows, for scale-up
 }
 
@@ -102,7 +102,7 @@ func (c *IOLatency) Submit(b *bio.Bio) {
 	}
 	st := c.stateFor(b.CG)
 	if st.inFlight >= st.depth {
-		st.wait.push(b)
+		st.wait.Push(b)
 		return
 	}
 	st.inFlight++
@@ -125,7 +125,7 @@ func (c *IOLatency) Completed(b *bio.Bio) {
 
 func (c *IOLatency) release(st *iolatState) {
 	for st.inFlight < st.depth {
-		next := st.wait.pop()
+		next := st.wait.Pop()
 		if next == nil {
 			return
 		}

@@ -21,7 +21,7 @@ type Kyber struct {
 
 	depth  [2]int // current depth limit per op
 	inUse  [2]int
-	wait   [2]fifo
+	wait   [2]bio.List
 	lat    [2]*stats.Histogram
 	ticker *sim.Ticker
 }
@@ -51,7 +51,7 @@ func (c *Kyber) Attach(q *blk.Queue) {
 func (c *Kyber) Submit(b *bio.Bio) {
 	op := int(b.Op)
 	if c.inUse[op] >= c.depth[op] {
-		c.wait[op].push(b)
+		c.wait[op].Push(b)
 		return
 	}
 	c.inUse[op]++
@@ -65,7 +65,7 @@ func (c *Kyber) Completed(b *bio.Bio) {
 	c.lat[op].Observe(int64(b.DeviceLatency()))
 	// Only refill while under the (possibly just lowered) depth limit.
 	if c.inUse[op] < c.depth[op] {
-		if next := c.wait[op].pop(); next != nil {
+		if next := c.wait[op].Pop(); next != nil {
 			c.inUse[op]++
 			c.q.Issue(next)
 		}
@@ -95,7 +95,7 @@ func (c *Kyber) adjust() {
 		h.Reset()
 		// Release waiters admitted by a larger depth.
 		for c.inUse[op] < c.depth[op] {
-			next := c.wait[op].pop()
+			next := c.wait[op].Pop()
 			if next == nil {
 				break
 			}

@@ -66,7 +66,7 @@ func (c *Kyber) RegisterMetrics(r *registry.Registry) {
 	perDir("kyber_inuse", "dispatch tokens in use",
 		func(op int) float64 { return float64(c.inUse[op]) })
 	perDir("kyber_queued", "bios waiting for a dispatch token",
-		func(op int) float64 { return float64(c.wait[op].len()) })
+		func(op int) float64 { return float64(c.wait[op].Len()) })
 }
 
 // RegisterMetrics contributes mq-deadline's queue depths per direction.
@@ -109,7 +109,7 @@ func (c *BFQ) RegisterMetrics(r *registry.Registry) {
 		})
 	}
 	perQueue("bfq_cg_queued", "bios pending in the cgroup's queue",
-		func(bq *bfqQueue) float64 { return float64(bq.pending.len()) })
+		func(bq *bfqQueue) float64 { return float64(bq.pending.Len()) })
 	perQueue("bfq_cg_inflight", "bios dispatched from the cgroup's queue",
 		func(bq *bfqQueue) float64 { return float64(bq.inFlight) })
 	perQueue("bfq_cg_vtag", "virtual finish time in sectors/weight",
@@ -138,5 +138,5 @@ func (c *IOLatency) RegisterMetrics(r *registry.Registry) {
 	perCG("iolatency_inflight", "bios in flight for the cgroup",
 		func(st *iolatState) float64 { return float64(st.inFlight) })
 	perCG("iolatency_queued", "bios held back by the depth window",
-		func(st *iolatState) float64 { return float64(st.wait.len()) })
+		func(st *iolatState) float64 { return float64(st.wait.Len()) })
 }

@@ -27,7 +27,8 @@ type Throttle struct {
 	q       *blk.Queue
 	limits  map[*cgroup.Node]ThrottleLimits
 	state   map[*cgroup.Node]*throttleState
-	pending int // bios delayed by a bucket, not yet issued
+	pending int       // bios delayed by a bucket, not yet issued
+	admitFn func(any) // issues a delayed bio; built once, so delay allocates nothing
 }
 
 type throttleState struct {
@@ -39,10 +40,15 @@ type throttleState struct {
 
 // NewThrottle returns a blk-throttle controller with no limits configured.
 func NewThrottle() *Throttle {
-	return &Throttle{
+	c := &Throttle{
 		limits: make(map[*cgroup.Node]ThrottleLimits),
 		state:  make(map[*cgroup.Node]*throttleState),
 	}
+	c.admitFn = func(a any) {
+		c.pending--
+		c.q.Issue(a.(*bio.Bio))
+	}
+	return c
 }
 
 // SetLimits configures limits for cg.
@@ -80,10 +86,7 @@ func (c *Throttle) Submit(b *bio.Bio) {
 		return
 	}
 	c.pending++
-	c.q.Engine().At(at, func() {
-		c.pending--
-		c.q.Issue(b)
-	})
+	c.q.Engine().AtCall(at, c.admitFn, b)
 }
 
 // charge advances cg's token buckets for b and returns the admission time

@@ -1,6 +1,8 @@
-// Package ring provides a minimal FIFO queue with O(1) push and pop.
-// Controllers can accumulate very large backlogs when throttling overloaded
-// workloads, so popping must not shift the remaining elements.
+// Package ring provides a minimal FIFO queue with O(1) push and pop, for
+// queues whose elements are not bios: the device's request queues and the
+// memory model's writeback and swap-out queues. Popping must not shift the
+// remaining elements. Bio backlogs queue on the intrusive bio.List instead,
+// which allocates nothing per bio.
 package ring
 
 // Queue is a FIFO backed by a power-of-two circular buffer, so Push and Pop

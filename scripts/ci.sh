@@ -1,10 +1,10 @@
 #!/bin/sh
 # Tier-2 CI: everything tier-1 (build + test) checks, plus static vetting,
-# a sanitizer pass over the engine, device and block layer, and the race
-# detector. The race pass exercises the parallel experiment fan-out
-# (-exp.parallel), which is what proves experiment cells really are
-# independent — a data race between cells fails this script, not just a
-# flaky benchmark.
+# a sanitizer pass over the engine, device, bio, block layer and
+# controllers, and the race detector. The race pass exercises the parallel
+# experiment fan-out (-exp.parallel), which is what proves experiment cells
+# really are independent — a data race between cells fails this script,
+# not just a flaky benchmark.
 #
 # Tier-3 (./scripts/ci.sh tier3): tier-2 plus a wall-clock-budgeted scenario
 # fuzz smoke and the whole suite re-run with the invariant sanitizer
@@ -35,11 +35,12 @@ fi
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -tags sanitizer (sim, device, blk)"
-# Seconds, not minutes: the engine, device and block-layer packages with
-# the invariant sanitizer compiled in, so a per-bio life-cycle break fails
-# tier-2 rather than waiting for tier-3's whole-suite pass.
-go test -tags sanitizer ./internal/sim ./internal/device ./internal/blk
+echo "== go test -tags sanitizer (sim, device, bio, blk, core, ctl)"
+# Seconds, not minutes: the engine, device, bio, block-layer, iocost and
+# controller packages with the invariant sanitizer compiled in, so a
+# per-bio life-cycle break or a bio queued on two lists fails tier-2
+# rather than waiting for tier-3's whole-suite pass.
+go test -tags sanitizer ./internal/sim ./internal/device ./internal/bio ./internal/blk ./internal/core ./internal/ctl
 
 echo "== go test -race ./..."
 # internal/exp's TestParallelMatchesSerial toggles the parallel fan-out
