@@ -1,6 +1,6 @@
 # Tier-1: the checks every change must keep green. See TESTING.md for the
 # full tier ladder.
-.PHONY: all build test bench bench-json bench-check ci ci-full fuzz-smoke fuzz-smoke-faults trace-smoke monitor-smoke fault-smoke fleet-smoke tune-smoke incident-smoke perfbench-test
+.PHONY: all build test bench bench-json bench-check ci ci-full fuzz-smoke fuzz-smoke-faults trace-smoke monitor-smoke fault-smoke fleet-smoke tune-smoke incident-smoke perfbench-test netlines
 
 all: build test
 
@@ -9,6 +9,14 @@ build:
 
 test:
 	go test ./...
+
+# Net size of a change: lines added and deleted in non-test Go files
+# between BASE (default HEAD~1) and the working tree, and the difference.
+# New files count once they are tracked (git add).
+BASE ?= HEAD~1
+netlines:
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' | \
+		awk '{a += $$1; d += $$2} END {printf "+%d -%d net %+d\n", a, d, a - d}'
 
 # Engine microbenchmarks (scheduler hot path) + the per-figure harness.
 bench:

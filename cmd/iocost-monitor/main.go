@@ -12,12 +12,6 @@
 //	iocost-monitor -mode openmetrics [-o metrics.om] ...
 //	iocost-monitor -mode json       [-o metrics.json] ...
 //	iocost-monitor -check metrics.json
-//	iocost-monitor -fleet [-fleet-hosts 1000] [-fleet-workers 0] ...
-//
-// The -fleet view swaps the single simulated host for a sharded cluster
-// (internal/fleet): per-tick fleet-wide roll-ups — ops, failures, migration
-// and push progress, storm blast radius — rendered as a table, OpenMetrics,
-// or JSON, byte-identical at every worker count.
 //
 // Exports are deterministic: the same seed and configuration always produce
 // byte-identical output, so exports double as regression fixtures.
@@ -33,7 +27,6 @@ import (
 
 	"github.com/iocost-sim/iocost"
 	"github.com/iocost-sim/iocost/internal/cli"
-	"github.com/iocost-sim/iocost/internal/fleet"
 	"github.com/iocost-sim/iocost/internal/registry"
 )
 
@@ -58,17 +51,10 @@ func main() {
 	checkFile := flag.String("check", "", "validate a JSON export file and exit")
 	faults := flag.String("faults", "", "inject device faults: a preset (storm, flaky, hang, gcstorm, capcollapse) or kind:at=2s,dur=3s,rate=0.01;... episodes")
 	alerts := flag.Bool("alerts", false, "evaluate SLO burn-rate rules against the registry and print alert state each interval (live mode)")
-	fleetView := flag.Bool("fleet", false, "monitor a sharded fleet instead of one host (see internal/fleet)")
-	fleetHosts := flag.Int("fleet-hosts", 1000, "hosts in the -fleet cluster")
-	fleetWorkers := flag.Int("fleet-workers", 0, "shard fan-out width for -fleet (0 = serial; output identical for every value)")
 	cli.Parse(tool)
 
 	if *checkFile != "" {
 		check(*checkFile)
-		return
-	}
-	if *fleetView {
-		fleetMonitor(*fleetHosts, *fleetWorkers, *seconds, *seed, *mode, *out)
 		return
 	}
 
@@ -144,40 +130,6 @@ func main() {
 		}
 	default:
 		cli.Fatalf(tool, "unknown mode %q", *mode)
-	}
-}
-
-// fleetMonitor runs a sharded cluster for one tick per simulated second and
-// renders the fleet-wide view: live mode prints the per-tick roll-up table,
-// the export modes reuse the deterministic OpenMetrics/JSON writers.
-func fleetMonitor(hosts, workers, seconds int, seed uint64, mode, out string) {
-	s, err := fleet.RunCluster(fleet.ClusterConfig{
-		Hosts:     hosts,
-		Ticks:     seconds,
-		TickDur:   iocost.Second,
-		Seed:      seed,
-		Workers:   workers,
-		Migration: &fleet.MigrationWave{StartTick: 0, Ticks: seconds},
-	})
-	if err != nil {
-		cli.Fatalf(tool, "%v", err)
-	}
-	w, closer := output(out)
-	switch mode {
-	case "live":
-		_, err = io.WriteString(w, s.Format())
-	case "openmetrics":
-		err = s.WriteOpenMetrics(w)
-	case "json":
-		err = s.WriteJSON(w)
-	default:
-		cli.Fatalf(tool, "unknown mode %q", mode)
-	}
-	if err == nil {
-		err = closer()
-	}
-	if err != nil {
-		cli.Fatalf(tool, "%v", err)
 	}
 }
 

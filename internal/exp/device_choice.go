@@ -5,9 +5,11 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/iocost-sim/iocost/internal/core"
 	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/rng"
 	"github.com/iocost-sim/iocost/internal/sim"
+	"github.com/iocost-sim/iocost/internal/tune"
 )
 
 // Device family names returned by DeviceChoice.Kind.
@@ -45,6 +47,14 @@ func (c DeviceChoice) Spec() any {
 		return c.Remote
 	}
 	return nil
+}
+
+// IOCostConfig is the iocost config a machine on this device runs by
+// default: the ideal-profiling cost model and the hand-tuned QoS, both
+// derived by internal/tune. It panics on an empty choice.
+func (c DeviceChoice) IOCostConfig() core.Config {
+	dev := tune.Scenario{SSD: c.SSD, HDD: c.HDD, Remote: c.Remote}
+	return core.Config{Model: core.MustLinearModel(dev.Model()), QoS: dev.HandTuned()}
 }
 
 // New constructs the chosen device model on eng with the given noise seed.

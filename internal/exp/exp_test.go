@@ -6,6 +6,7 @@ import (
 	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/rcb"
 	"github.com/iocost-sim/iocost/internal/sim"
+	"github.com/iocost-sim/iocost/internal/tune"
 )
 
 // rcbTuneForTest runs a short §3.4 sweep on the older SSD.
@@ -389,6 +390,13 @@ func TestTunedQoSSweepShape(t *testing.T) {
 	}
 	if res.QoS.VrateMin > res.QoS.VrateMax {
 		t.Errorf("inverted band: %+v", res.QoS)
+	}
+	// The sweep picks only the vrate band; the latency targets are the
+	// hand-tuned ones.
+	hand := tune.HandTunedSSD(device.OlderGenSSD())
+	hand.VrateMin, hand.VrateMax = res.QoS.VrateMin, res.QoS.VrateMax
+	if res.QoS != hand {
+		t.Errorf("swept QoS %+v, want tune.HandTunedSSD's targets %+v", res.QoS, hand)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/rng"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/trace"
-	"github.com/iocost-sim/iocost/internal/tune"
 )
 
 // Controller kinds under comparison.
@@ -194,71 +193,31 @@ type Machine struct {
 	ownEng bool
 }
 
-// Parameter derivation lives in internal/tune (the auto-tuner races its
-// candidates against exactly these configs). The aliases below are thin
-// delegates kept only for facade stability (iocost.go re-exports them):
-// in-repo code calls tune directly.
-
-// IdealParams is a thin delegate to tune.IdealSSDParams, kept for facade
-// stability: it derives linear cost-model parameters analytically from an
-// SSD spec — what a perfect profiling run measures. Experiments that care
-// about profiling fidelity use the profiler package instead.
-func IdealParams(spec device.SSDSpec) core.LinearParams { return tune.IdealSSDParams(spec) }
-
-// IdealHDDParams is a thin delegate to tune.IdealHDDParams, kept for
-// facade stability: cost-model parameters for the spinning disk.
-func IdealHDDParams(spec device.HDDSpec) core.LinearParams { return tune.IdealHDDParams(spec) }
-
-// IdealRemoteParams is a thin delegate to tune.IdealRemoteParams, kept for
-// facade stability: cost-model parameters for a cloud volume, whose
-// provisioned IOPS and throughput are the capability.
-func IdealRemoteParams(spec device.RemoteSpec) core.LinearParams {
-	return tune.IdealRemoteParams(spec)
-}
-
-// TunedQoS is a thin delegate to tune.HandTunedSSD, kept for facade
-// stability: §3.4-style QoS parameters for an SSD spec.
-func TunedQoS(spec device.SSDSpec) core.QoS { return tune.HandTunedSSD(spec) }
-
 // newIOCostController builds a standalone IOCost controller for an SSD with
-// ideal model parameters and tuned QoS, for experiments that assemble
-// multi-machine topologies by hand. Construction goes through the ctl
-// registry like every other path.
+// the device's default config (DeviceChoice.IOCostConfig), for experiments
+// that assemble multi-machine topologies by hand. Construction goes through
+// the ctl registry like every other path.
 func newIOCostController(spec device.SSDSpec) *core.Controller {
-	c, err := ctl.New(KindIOCost, ctl.Config{Custom: core.Config{
-		Model: core.MustLinearModel(tune.IdealSSDParams(spec)),
-		QoS:   tune.HandTunedSSD(spec),
-	}})
+	c, err := ctl.New(KindIOCost, ctl.Config{Custom: ssdChoice(spec).IOCostConfig()})
 	if err != nil {
 		panic(err)
 	}
 	return c.(*core.Controller)
 }
 
-// iocostConfig completes cfg.IOCostCfg with device-derived defaults: an
-// ideal-profiling cost model and tuned QoS for whichever device the machine
-// runs on.
-func iocostConfig(cfg MachineConfig, ssdSpec *device.SSDSpec) core.Config {
+// iocostConfig completes cfg.IOCostCfg with the device's defaults
+// (DeviceChoice.IOCostConfig) wherever it leaves the model or QoS unset.
+func iocostConfig(cfg MachineConfig) core.Config {
 	c := cfg.IOCostCfg
+	if c.Model != nil && c.QoS != (core.QoS{}) {
+		return c
+	}
+	def := cfg.Device.IOCostConfig()
 	if c.Model == nil {
-		switch {
-		case ssdSpec != nil:
-			c.Model = core.MustLinearModel(tune.IdealSSDParams(*ssdSpec))
-		case cfg.Device.HDD != nil:
-			c.Model = core.MustLinearModel(tune.IdealHDDParams(*cfg.Device.HDD))
-		default:
-			c.Model = core.MustLinearModel(tune.IdealRemoteParams(*cfg.Device.Remote))
-		}
+		c.Model = def.Model
 	}
 	if c.QoS == (core.QoS{}) {
-		switch {
-		case ssdSpec != nil:
-			c.QoS = tune.HandTunedSSD(*ssdSpec)
-		case cfg.Device.HDD != nil:
-			c.QoS = tune.HandTunedHDD()
-		default:
-			c.QoS = tune.HandTunedRemote(*cfg.Device.Remote)
-		}
+		c.QoS = def.QoS
 	}
 	return c
 }
@@ -331,7 +290,6 @@ func (m *Machine) build(cfg MachineConfig) error {
 	eng := m.Eng
 	m.Hier = cgroup.NewHierarchy()
 
-	ssdSpec := cfg.Device.SSD
 	m.Dev = cfg.Device.New(eng, rng.DeriveSeed(cfg.Seed, 0xde5))
 
 	if !cfg.Faults.Empty() {
@@ -349,7 +307,7 @@ func (m *Machine) build(cfg MachineConfig) error {
 	}
 	var ctlCfg ctl.Config
 	if name == KindIOCost {
-		ctlCfg.Custom = iocostConfig(cfg, ssdSpec)
+		ctlCfg.Custom = iocostConfig(cfg)
 	}
 	c, err := ctl.New(name, ctlCfg)
 	if err != nil {

@@ -104,6 +104,23 @@ func TestClusterGolden(t *testing.T) {
 	checkGolden(t, "fleet_golden.txt", mustRun(t, cfg).Format())
 }
 
+// TestClusterOpenMetricsGolden pins the OpenMetrics export byte for byte:
+// the golden cluster, then the sampled-fidelity cluster with flight
+// recorders on a quarter of its hosts, which adds the conditional
+// fleet_calib_* and fleet_flight_* families. Refresh as TestClusterGolden.
+func TestClusterOpenMetricsGolden(t *testing.T) {
+	flighted := sampledConfig()
+	flighted.Flight = &fleet.FleetFlight{SampleFrac: 0.25, FailCeil: 0.2}
+	var b bytes.Buffer
+	for _, cfg := range []fleet.ClusterConfig{goldenConfig(), flighted} {
+		cfg.Workers = 4
+		if err := mustRun(t, cfg).WriteOpenMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkGolden(t, "fleet_golden.om", b.String())
+}
+
 // TestStormRackCorrelation: hosts sharing a rack-level fault plan observe
 // identical episode windows and identical rack-level severity; hosts in
 // other racks observe no storm at all.

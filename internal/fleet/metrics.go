@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -98,29 +97,11 @@ func (s *Summary) RegisterMetrics(r *registry.Registry) {
 }
 
 // WriteOpenMetrics renders the fleet roll-ups as one deterministic
-// OpenMetrics scrape: families in registration order, series in emission
-// order — identical summaries produce identical bytes.
+// OpenMetrics scrape: identical summaries produce identical bytes.
 func (s *Summary) WriteOpenMetrics(w io.Writer) error {
 	r := registry.New()
 	s.RegisterMetrics(r)
-	for _, fam := range r.Gather() {
-		if fam.Help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", fam.Name, fam.Help); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", fam.Name, fam.Kind); err != nil {
-			return err
-		}
-		for _, smp := range fam.Samples {
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", smp.Name, smp.Labels,
-				strconv.FormatFloat(smp.Value, 'g', -1, 64)); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := io.WriteString(w, "# EOF\n")
-	return err
+	return r.WriteOpenMetrics(w)
 }
 
 // JSONSummaryVersion identifies the fleet JSON export schema.

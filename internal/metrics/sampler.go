@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 
 	"github.com/iocost-sim/iocost/internal/registry"
 	"github.com/iocost-sim/iocost/internal/sim"
@@ -134,12 +133,6 @@ func (s *Sampler) Sample() {
 	}
 }
 
-// formatValue renders a float64 deterministically (shortest round-trip
-// representation, as strconv guarantees).
-func formatValue(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // WriteOpenMetrics writes every recorded series in the OpenMetrics text
 // format, one timestamped sample line per bucket:
 //
@@ -151,28 +144,17 @@ func formatValue(v float64) string {
 // Families appear in registration order, series in first-emission order,
 // samples in time order — identical runs produce byte-identical output.
 func (s *Sampler) WriteOpenMetrics(w io.Writer) error {
+	enc := registry.NewEncoder(w)
 	for _, fam := range s.fams {
-		if fam.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", fam.name, fam.help); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", fam.name, fam.kind); err != nil {
-			return err
-		}
+		enc.Family(fam.name, fam.help, fam.kind)
 		for _, ser := range fam.series {
 			pts := ser.tl.Series()
 			for i := range pts.X {
-				if _, err := fmt.Fprintf(w, "%s%s %s %s\n",
-					ser.name, ser.labels,
-					formatValue(pts.Y[i]), formatValue(pts.X[i])); err != nil {
-					return err
-				}
+				enc.SampleAt(ser.name, ser.labels, pts.Y[i], pts.X[i])
 			}
 		}
 	}
-	_, err := io.WriteString(w, "# EOF\n")
-	return err
+	return enc.Close()
 }
 
 // JSONExportVersion identifies the JSON export schema.

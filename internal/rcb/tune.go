@@ -7,6 +7,7 @@ import (
 	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/mem"
 	"github.com/iocost-sim/iocost/internal/sim"
+	"github.com/iocost-sim/iocost/internal/tune"
 	"github.com/iocost-sim/iocost/internal/workload"
 )
 
@@ -93,21 +94,10 @@ func Tune(spec device.SSDSpec, opts TuneOptions) TuneResult {
 		vmin = vmax
 	}
 
-	// Latency targets: a small multiple of the loaded operating points,
-	// as in exp.TunedQoS.
-	unloadedR := float64(spec.RandReadNS)
-	if bw := 4096 * float64(spec.Parallelism) / spec.ReadBps * 1e9; bw > unloadedR {
-		unloadedR = bw
-	}
-	wService := spec.RandWriteNS
-	if sustained := 128 << 10 * float64(spec.Parallelism) / spec.SustainedWBp * 1e9; sustained > wService {
-		wService = sustained
-	}
-	res.QoS = core.QoS{
-		RPct: 90, RLat: 5 * sim.Time(unloadedR),
-		WPct: 90, WLat: 8 * sim.Time(wService),
-		VrateMin: vmin, VrateMax: vmax,
-	}
+	// Latency targets: the hand-tuned ones, a small multiple of the
+	// loaded operating points; the sweep picks only the vrate band.
+	res.QoS = tune.HandTunedSSD(spec)
+	res.QoS.VrateMin, res.QoS.VrateMax = vmin, vmax
 	return res
 }
 

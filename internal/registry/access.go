@@ -2,7 +2,7 @@ package registry
 
 // Typed, allocation-free read access to a registry: gauge/counter lookup by
 // family name + exact label match, summary-quantile and summary-count
-// lookup, whole-family sums and registration-order iteration. These exist so
+// lookup, and whole-family sums. These exist so
 // in-process consumers — above all the QoS auto-tuner (internal/tune) —
 // read metrics as numbers instead of scraping the OpenMetrics text they
 // would then have to parse back.
@@ -90,15 +90,6 @@ func (r *Registry) lookup(family, suffix string, kind int, labels []Label, qlabe
 // Has reports whether a family is registered.
 func (r *Registry) Has(family string) bool { return r.byName[family] != nil }
 
-// KindOf returns a registered family's kind.
-func (r *Registry) KindOf(family string) (Kind, bool) {
-	f := r.byName[family]
-	if f == nil {
-		return 0, false
-	}
-	return f.Kind, true
-}
-
 // GaugeValue returns the gauge family's sample matching labels exactly
 // (nil matches the unlabeled series). False if the family is missing, is
 // not a gauge, or has no matching series.
@@ -133,12 +124,6 @@ func (r *Registry) SummaryCount(family string, labels []Label) (float64, bool) {
 	return r.lookup(family, "_count", int(Summary), labels, "")
 }
 
-// SummarySum returns a summary family's value sum for the series matching
-// labels.
-func (r *Registry) SummarySum(family string, labels []Label) (float64, bool) {
-	return r.lookup(family, "_sum", int(Summary), labels, "")
-}
-
 // sumEmit accumulates every plain sample of the target family (skipping
 // summary _count/_sum series would double-count; Sum is therefore defined
 // only over samples named exactly like the family).
@@ -163,36 +148,4 @@ func (r *Registry) Sum(family string) (float64, bool) {
 	r.scratch = filter{name: family}
 	fam.collect(r.sumFilterEmit)
 	return r.scratch.value, r.scratch.found
-}
-
-// EachSample evaluates family's collector and calls fn for every sample in
-// emission order. fn returning false stops the iteration (remaining samples
-// are still emitted by the collector but ignored). Reports whether the
-// family exists.
-func (r *Registry) EachSample(family string, fn func(name string, labels []Label, v float64) bool) bool {
-	fam := r.byName[family]
-	if fam == nil {
-		return false
-	}
-	stop := false
-	fam.collect(func(name string, labels []Label, v float64) {
-		if stop {
-			return
-		}
-		if !fn(name, labels, v) {
-			stop = true
-		}
-	})
-	return true
-}
-
-// EachFamily calls fn for every registered family in registration order —
-// the same order Gather and the OpenMetrics export use. fn returning false
-// stops the iteration.
-func (r *Registry) EachFamily(fn func(f *Family) bool) {
-	for _, f := range r.fams {
-		if !fn(f) {
-			return
-		}
-	}
 }

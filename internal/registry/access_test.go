@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/iocost-sim/iocost/internal/stats"
@@ -73,9 +74,6 @@ func TestTypedLookups(t *testing.T) {
 	if v, ok := r.SummaryCount("lat_ns", nil); !ok || v != 100 {
 		t.Fatalf("SummaryCount = %v, %v", v, ok)
 	}
-	if v, ok := r.SummarySum("lat_ns", nil); !ok || v != h.Mean()*100 {
-		t.Fatalf("SummarySum = %v, %v", v, ok)
-	}
 
 	if v, ok := r.Sum("multi_total"); !ok || v != 42 {
 		t.Fatalf("Sum(multi_total) = %v, %v", v, ok)
@@ -90,58 +88,25 @@ func TestTypedLookups(t *testing.T) {
 	if !r.Has("g_plain") || r.Has("nosuch") {
 		t.Fatal("Has is wrong")
 	}
-	if k, ok := r.KindOf("lat_ns"); !ok || k != Summary {
-		t.Fatalf("KindOf(lat_ns) = %v, %v", k, ok)
-	}
 }
 
 func TestEachSampleAndFamilyOrder(t *testing.T) {
 	r, _ := accessRig()
 
-	// EachFamily iterates in registration order.
+	// Families gather in registration order, which is the order every
+	// export writes them in.
+	got := r.Gather()
 	var fams []string
-	r.EachFamily(func(f *Family) bool {
+	for _, f := range got {
 		fams = append(fams, f.Name)
-		return true
-	})
+	}
 	want := []string{"g_plain", "g_labeled", "c_total", "multi_total", "lat_ns"}
-	if len(fams) != len(want) {
-		t.Fatalf("EachFamily saw %v, want %v", fams, want)
+	if strings.Join(fams, " ") != strings.Join(want, " ") {
+		t.Fatalf("Gather order %v, want %v", fams, want)
 	}
-	for i := range want {
-		if fams[i] != want[i] {
-			t.Fatalf("EachFamily order %v, want %v", fams, want)
-		}
-	}
-	// Early stop.
-	n := 0
-	r.EachFamily(func(*Family) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Fatalf("EachFamily early stop saw %d families", n)
-	}
-
-	// EachSample sees the collector's emission order.
-	var got []float64
-	if !r.EachSample("multi_total", func(_ string, _ []Label, v float64) bool {
-		got = append(got, v)
-		return true
-	}) {
-		t.Fatal("EachSample reported multi_total missing")
-	}
-	if len(got) != 2 || got[0] != 10 || got[1] != 32 {
-		t.Fatalf("EachSample values = %v", got)
-	}
-	// Early stop keeps only the first sample.
-	got = got[:0]
-	r.EachSample("multi_total", func(_ string, _ []Label, v float64) bool {
-		got = append(got, v)
-		return false
-	})
-	if len(got) != 1 || got[0] != 10 {
-		t.Fatalf("EachSample early stop values = %v", got)
-	}
-	if r.EachSample("nosuch", func(string, []Label, float64) bool { return true }) {
-		t.Fatal("EachSample reported unknown family present")
+	// A collector's samples keep its emission order.
+	if multi := got[3].Samples; len(multi) != 2 || multi[0].Value != 10 || multi[1].Value != 32 {
+		t.Fatalf("multi_total samples = %+v", multi)
 	}
 }
 

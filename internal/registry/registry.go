@@ -14,8 +14,8 @@
 // Everything about a scrape is deterministic: families gather in
 // registration order, a collector's samples appear in emission order, and
 // label rendering is canonical — identical seeds therefore produce
-// byte-identical exports (see internal/metrics for the sampler and the
-// OpenMetrics/JSON writers).
+// byte-identical exports. Every OpenMetrics text export goes through this
+// package's Encoder (openmetrics.go).
 package registry
 
 import (
@@ -262,9 +262,6 @@ func (r *Registry) Gather() []FamilySamples {
 	}
 	return out
 }
-
-// Families returns the registered families in registration order.
-func (r *Registry) Families() []*Family { return r.fams }
 
 // Len returns the number of registered families.
 func (r *Registry) Len() int { return len(r.fams) }

@@ -18,7 +18,6 @@ import (
 	"github.com/iocost-sim/iocost/internal/rng"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/trace"
-	"github.com/iocost-sim/iocost/internal/tune"
 )
 
 // drainHorizon bounds how long past the last arrival a controller may take
@@ -89,7 +88,7 @@ func deviceChoice(scn Scenario) exp.DeviceChoice {
 func buildController(kind string, scn Scenario, nodes []*cgroup.Node) blk.Controller {
 	var cfg ctl.Config
 	if kind == exp.KindIOCost {
-		cfg.Custom = iocostCoreConfig(scn)
+		cfg.Custom = deviceChoice(scn).IOCostConfig()
 	}
 	c, err := ctl.New(kind, cfg)
 	if err != nil {
@@ -113,36 +112,6 @@ func buildController(kind string, scn Scenario, nodes []*cgroup.Node) blk.Contro
 		}
 	}
 	return c
-}
-
-// iocostCoreConfig derives the iocost cost model and QoS targets for the
-// scenario's device, mirroring what exp.MachineConfig defaults would pick.
-func iocostCoreConfig(scn Scenario) core.Config {
-	var cfg core.Config
-	choice := deviceChoice(scn)
-	switch choice.Kind() {
-	case exp.DeviceSSD:
-		spec := *choice.Spec().(*device.SSDSpec)
-		cfg.Model = core.MustLinearModel(tune.IdealSSDParams(spec))
-		cfg.QoS = tune.HandTunedSSD(spec)
-	case exp.DeviceHDD:
-		cfg.Model = core.MustLinearModel(tune.IdealHDDParams(*choice.Spec().(*device.HDDSpec)))
-		cfg.QoS = core.QoS{
-			RPct: 90, RLat: 15 * sim.Millisecond,
-			WPct: 90, WLat: 40 * sim.Millisecond,
-			VrateMin: 0.1, VrateMax: 1.2,
-		}
-	default:
-		spec := device.EBSgp3()
-		cfg.Model = core.MustLinearModel(tune.IdealRemoteParams(spec))
-		rtt := sim.Time(spec.RTTNS)
-		cfg.QoS = core.QoS{
-			RPct: 90, RLat: 6 * rtt,
-			WPct: 90, WLat: 10 * rtt,
-			VrateMin: 0.25, VrateMax: 1.5,
-		}
-	}
-	return cfg
 }
 
 // Run executes the scenario under one controller with the sanitizer enabled

@@ -174,10 +174,10 @@ func MustLinearModel(p LinearParams) *LinearModel { return core.MustLinearModel(
 func DefaultQoS() QoS { return core.DefaultQoS() }
 
 // TunedQoS derives §3.4-style QoS parameters for an SSD.
-var TunedQoS = exp.TunedQoS
+var TunedQoS = tune.HandTunedSSD
 
 // IdealParams derives cost-model parameters analytically from an SSD spec.
-var IdealParams = exp.IdealParams
+var IdealParams = tune.IdealSSDParams
 
 // Cgroups.
 type (
