@@ -123,7 +123,7 @@ type Bio struct {
 	// charged at issue (the kernel's bi_iocost_cost).
 	Charge float64
 
-	next *Bio // the List link (bi_next)
+	next *Bio // the List link (bi_next), or the free-list link while pooled
 
 	// pool, when non-nil, is the free list this bio recycles to after the
 	// final completion (see pool.go); gen counts recycles so stale

@@ -3,7 +3,7 @@ package bio
 import (
 	"runtime"
 	"testing"
-	"time"
+	"unsafe"
 
 	"github.com/iocost-sim/iocost/internal/sim"
 )
@@ -41,8 +41,32 @@ func TestPoolGrowsOnExhaustion(t *testing.T) {
 	if got := p.Allocated(); got != 100 {
 		t.Errorf("Allocated grew to %d on reuse, want to stay 100", got)
 	}
-	if gets := p.Gets(); gets != 200 {
-		t.Errorf("Gets = %d, want 200", gets)
+	if p.Free() != 0 {
+		t.Errorf("Free = %d after reusing all 100", p.Free())
+	}
+}
+
+// TestPoolGrowthAllocatesOnlyBios: growing a pool allocates the bios'
+// slabs and almost nothing else — no record of the bios beside them.
+func TestPoolGrowthAllocatesOnlyBios(t *testing.T) {
+	const n = 100_000
+	size := unsafe.Sizeof(Bio{})
+	p := NewPool()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	for range n {
+		p.Get()
+	}
+	runtime.ReadMemStats(&b)
+	if p.Allocated() != n || p.Free() != 0 {
+		t.Fatalf("Allocated %d, Free %d; want %d live bios", p.Allocated(), p.Free(), n)
+	}
+	got := b.TotalAlloc - a.TotalAlloc
+	limit := uint64(1.02*float64(n*size)) + 16<<10
+	t.Logf("%d live bios of %d B: %d B allocated (limit %d)", n, size, got, limit)
+	if got > limit {
+		t.Errorf("growing to %d bios allocated %d B, want at most %d (the bios plus 2%% and 16 KiB)", n, got, limit)
 	}
 }
 
@@ -112,36 +136,21 @@ func TestPoolForeignPutPanics(t *testing.T) {
 	q.Put(b)
 }
 
-func TestDetachStopsRecycling(t *testing.T) {
-	p := NewPool()
-	b := p.Get()
-	b.Detach()
-	if b.Pooled() {
-		t.Error("detached bio still reports Pooled")
-	}
-	// Release must leave a detached bio alone.
-	Release(b)
-	if p.Free() != 0 {
-		t.Error("Release recycled a detached bio")
-	}
-}
-
 // TestPoolReclaim: Reclaim takes back every bio the pool handed out —
-// recycled or live — but not detached ones.
+// recycled or live — and allocates nothing doing it.
 func TestPoolReclaim(t *testing.T) {
 	p := NewPool()
-	live := make([]*Bio, 96)
+	live := make([]*Bio, 90)
 	for i := range live {
 		live[i] = p.Get()
 		live[i].Off = int64(i)
 		live[i].OnDone = func(*Bio) {}
 	}
+	if len(p.rest) == 0 {
+		t.Fatal("the last slab has no never-used tail; pick a live count that leaves one")
+	}
 	for _, b := range live[:10] {
 		p.Put(b)
-	}
-	detached := live[20:23]
-	for _, b := range detached {
-		b.Detach()
 	}
 	gens := make([]uint32, len(live))
 	for i, b := range live {
@@ -149,24 +158,18 @@ func TestPoolReclaim(t *testing.T) {
 	}
 
 	p.Reclaim()
-	want := int(p.Allocated()) - len(detached)
-	if p.Free() != want {
-		t.Fatalf("Free = %d after Reclaim, want Allocated %d - detached %d", p.Free(), p.Allocated(), len(detached))
+	// The last slab's never-used tail stays unhanded: only the bios Get
+	// returned are on the free list.
+	if p.Free() != int(p.Allocated()) {
+		t.Fatalf("Free = %d after Reclaim, want Allocated %d", p.Free(), p.Allocated())
 	}
 	for i, b := range live {
-		switch {
-		case i >= 20 && i < 23:
-			if b.Pooled() || b.Off != int64(i) {
-				t.Errorf("bio %d: Reclaim touched a detached bio", i)
-			}
-		case i < 10:
+		if i < 10 {
 			if b.Gen() != gens[i] {
 				t.Errorf("bio %d: already-free bio's generation moved %d -> %d", i, gens[i], b.Gen())
 			}
-		default:
-			if b.Gen() != gens[i]+1 || b.Off != 0 || b.OnDone != nil {
-				t.Errorf("bio %d: live bio not recycled by Reclaim (gen %d -> %d)", i, gens[i], b.Gen())
-			}
+		} else if b.Gen() != gens[i]+1 || b.Off != 0 || b.OnDone != nil {
+			t.Errorf("bio %d: live bio not recycled by Reclaim (gen %d -> %d)", i, gens[i], b.Gen())
 		}
 	}
 
@@ -184,12 +187,10 @@ func TestPoolReclaim(t *testing.T) {
 	// allocates again.
 	n := p.Allocated()
 	owned := map[*Bio]bool{}
-	for i, b := range live {
-		if i < 20 || i >= 23 {
-			owned[b] = true
-		}
+	for _, b := range live {
+		owned[b] = true
 	}
-	for range want {
+	for range n {
 		b := p.Get()
 		if !owned[b] {
 			t.Fatal("Get after Reclaim returned a bio the pool did not own, or one twice")
@@ -203,38 +204,15 @@ func TestPoolReclaim(t *testing.T) {
 	if p.Allocated() != n+1 {
 		t.Errorf("Get on an empty reclaimed pool: Allocated %d, want %d", p.Allocated(), n+1)
 	}
-}
 
-// TestDetachedBiosAreForgotten: once detached bios outnumber the ones the
-// pool owns, the pool drops them, so a bio whose holder lets go of it is
-// collected even though its pool lives on.
-func TestDetachedBiosAreForgotten(t *testing.T) {
-	p := NewPool()
-	live := make([]*Bio, 10)
-	for i := range live {
-		live[i] = p.Get()
+	// Reclaiming a grown pool, its bios live or free, allocates nothing.
+	for range 10_000 {
+		p.Get()
 	}
-	collected := make(chan struct{})
-	runtime.SetFinalizer(live[0], func(*Bio) { close(collected) })
-	for _, b := range live[:8] {
-		b.Detach()
+	if allocs := testing.AllocsPerRun(10, p.Reclaim); allocs != 0 {
+		t.Errorf("Reclaim allocated %v times, want 0", allocs)
 	}
-	clear(live[:8])
-	deadline := time.Now().Add(5 * time.Second)
-	for done := false; !done; {
-		runtime.GC()
-		select {
-		case <-collected:
-			done = true
-		case <-time.After(10 * time.Millisecond):
-			if time.Now().After(deadline) {
-				t.Fatal("a detached, dropped bio is still reachable through its pool")
-			}
-		}
+	if p.Free() != int(p.Allocated()) {
+		t.Errorf("Free = %d after reclaiming the grown pool, want Allocated %d", p.Free(), p.Allocated())
 	}
-	p.Reclaim()
-	if p.Free() != 2 || p.Allocated() != 10 {
-		t.Errorf("after Reclaim: Free %d, Allocated %d; want 2 owned of 10 allocated", p.Free(), p.Allocated())
-	}
-	runtime.KeepAlive(live)
 }

@@ -149,12 +149,11 @@ type Queue struct {
 	timeoutF   func(any)
 
 	// Failure semantics (see RetryPolicy). The armed deadline event lives
-	// on the bio itself (no per-dispatch map insert); timedOut counts, per
-	// bio, the attempts whose deadline fired and whose device completion
-	// is still to come, so each of those late completions is dropped — a
-	// retried bio can time out again before its first attempt returns.
+	// on the bio itself (no per-dispatch map insert); timedOut tracks the
+	// bios the device still holds after their deadline fired (see
+	// lateState).
 	policy       RetryPolicy
-	timedOut     map[*bio.Bio]int
+	timedOut     map[*bio.Bio]lateState
 	retryPending int
 
 	errors          uint64
@@ -162,6 +161,17 @@ type Queue struct {
 	retries         uint64
 	failures        uint64
 	lateCompletions uint64
+}
+
+// lateState is a timed-out bio's ownership record. late counts the
+// attempts whose deadline fired and whose device completion is still to
+// come, so each of those late completions is dropped — a retried bio can
+// time out again before its first attempt returns. done records that the
+// final completion was delivered while late was non-zero: the queue then
+// owns the bio until its last late completion and recycles it there.
+type lateState struct {
+	late int
+	done bool
 }
 
 // New builds a queue over dev controlled by ctl. tags <= 0 selects
@@ -263,7 +273,7 @@ func (q *Queue) SetRetryPolicy(p RetryPolicy) {
 	}
 	q.policy = p
 	if p.Deadline > 0 && q.timedOut == nil {
-		q.timedOut = make(map[*bio.Bio]int)
+		q.timedOut = make(map[*bio.Bio]lateState)
 	}
 }
 
@@ -391,16 +401,22 @@ func (q *Queue) timeoutFn() func(any) {
 }
 
 // complete is the device's completion callback. Late completions of bios the
-// queue already timed out are dropped; everything else flows to finish.
+// queue already timed out are dropped — the last one recycles the bio if
+// its final completion was already delivered; everything else flows to
+// finish.
 func (q *Queue) complete(b *bio.Bio) {
 	if q.timedOut != nil {
-		if n := q.timedOut[b]; n > 0 {
-			if n == 1 {
-				delete(q.timedOut, b)
-			} else {
-				q.timedOut[b] = n - 1
-			}
+		if st, ok := q.timedOut[b]; ok {
 			q.lateCompletions++
+			st.late--
+			if st.late > 0 {
+				q.timedOut[b] = st
+				return
+			}
+			delete(q.timedOut, b)
+			if st.done {
+				bio.Release(b)
+			}
 			return
 		}
 	}
@@ -414,14 +430,14 @@ func (q *Queue) complete(b *bio.Bio) {
 // timeout fires when a dispatched bio outlives the policy deadline: the tag
 // is reclaimed and the completion path runs with StatusTimeout, as
 // blk_mq_rq_timed_out would. The device keeps servicing the request; its
-// eventual completion is dropped (and counted) in complete. The bio is
-// detached from its pool (if any): the device still holds a pointer for
-// the eventual late completion, so recycling it would alias a live
-// request.
+// eventual completion is dropped (and counted) in complete. Until then the
+// device still holds the bio, so finish keeps it out of its pool and
+// complete recycles it.
 func (q *Queue) timeout(b *bio.Bio) {
 	b.DeadlineEv = sim.EventID{}
-	b.Detach()
-	q.timedOut[b]++
+	st := q.timedOut[b]
+	st.late++
+	q.timedOut[b] = st
 	q.timeouts++
 	b.Status = bio.StatusTimeout
 	b.Completed = q.eng.Now()
@@ -431,7 +447,8 @@ func (q *Queue) timeout(b *bio.Bio) {
 // finish runs the completion path: observer + controller notification, tag
 // release, accounting, and — for failed attempts with retries remaining —
 // exponential-backoff requeue instead of OnDone delivery. Pooled bios are
-// recycled once the final OnDone has returned.
+// recycled once the final OnDone has returned, or, if the device still
+// holds a timed-out attempt, at its last late completion.
 func (q *Queue) finish(b *bio.Bio) {
 	q.inflight--
 	q.completions++
@@ -485,9 +502,16 @@ func (q *Queue) finish(b *bio.Bio) {
 	if b.OnDone != nil {
 		b.OnDone(b)
 	}
-	// The bio's life is over: recycle it if it came from a pool. OnDone
-	// ran above, so the submitter has had its look; holders that keep a
-	// bio longer must Detach it.
+	// The bio's life is over: OnDone ran above, so the submitter has had
+	// its look. Recycle it if it came from a pool, unless the device still
+	// holds a timed-out attempt: its last late completion recycles it.
+	if q.timedOut != nil {
+		if st, ok := q.timedOut[b]; ok {
+			st.done = true
+			q.timedOut[b] = st
+			return
+		}
+	}
 	bio.Release(b)
 }
 

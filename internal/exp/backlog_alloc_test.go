@@ -17,8 +17,9 @@ import (
 // that one earlier trial already grew, as MeasureCurve's trials do.
 // During a 100 ms window in which the backlog grows past that trial's
 // high-water mark (and past 16,384 queued bios, where a doubling queue
-// would reallocate), the heap objects allocated must not exceed the bios
-// the pool newly allocated plus the reallocations of its record of them.
+// would reallocate), the heap objects allocated must not exceed the slabs
+// the pool newly carved its bios from plus the reallocations of its slab
+// record.
 func TestBacklogAllocatesOnlyBios(t *testing.T) {
 	if check.Enabled {
 		t.Skip("the sanitizer wrapper keeps its own per-bio bookkeeping")
@@ -50,37 +51,42 @@ func TestBacklogAllocatesOnlyBios(t *testing.T) {
 	eng.RunUntil(from)
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// Gets less Puts counts the bios in flight or queued, plus the bios
-	// Reclaim took back, which are constant here.
-	live0, news0 := pool.Gets()-pool.Recycled(), pool.Allocated()
+	// Allocated less Free counts the bios in flight or queued.
+	news0 := pool.Allocated()
+	live0 := news0 - uint64(pool.Free())
 	var a, b runtime.MemStats
 	runtime.ReadMemStats(&a)
 	eng.RunUntil(to)
 	runtime.ReadMemStats(&b)
-	live1, news1 := pool.Gets()-pool.Recycled(), pool.Allocated()
+	news1 := pool.Allocated()
+	live1 := news1 - uint64(pool.Free())
 
 	if live1 <= live0 || news1 <= news0 {
 		t.Fatalf("backlog did not grow past the earlier trial: %d more live bios, %d → %d allocated",
 			live1-live0, news0, news1)
 	}
-	// The pool records every bio it allocates in one slice, appended one
-	// bio at a time since the pool was new; replay those appends to count
-	// the window's reallocations.
-	var record []*bio.Bio
-	grows := uint64(0)
-	for uint64(len(record)) < news1 {
+	// The pool carves a slab of min(max(n/4, 8), 256) bios when its n
+	// handed-out bios leave none, and appends it to its slab record;
+	// replay that since the pool was new to count the window's slabs and
+	// record reallocations.
+	var record [][]bio.Bio
+	slabs, grows := uint64(0), uint64(0)
+	for n := uint64(0); n < news1; n += min(max(n/4, 8), 256) {
 		c := cap(record)
 		record = append(record, nil)
-		if uint64(len(record)) > news0 && cap(record) != c {
-			grows++
+		if n >= news0 {
+			slabs++
+			if cap(record) != c {
+				grows++
+			}
 		}
 	}
 	objects := b.Mallocs - a.Mallocs
-	limit := news1 - news0 + grows
-	t.Logf("backlog grew by %d bios; %d heap objects for %d new bios + %d record growths",
-		live1-live0, objects, news1-news0, grows)
+	limit := slabs + grows
+	t.Logf("backlog grew by %d bios; %d heap objects for %d new bios in %d slabs + %d record growths",
+		live1-live0, objects, news1-news0, slabs, grows)
 	if objects > limit {
-		t.Errorf("backlog window allocated %d heap objects, want at most %d (%d new bios + %d record growths)",
-			objects, limit, news1-news0, grows)
+		t.Errorf("backlog window allocated %d heap objects, want at most %d (%d slabs + %d record growths)",
+			objects, limit, slabs, grows)
 	}
 }

@@ -322,13 +322,6 @@ func TestFig16ZooKeeperSLO(t *testing.T) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func TestFig18Fig19FleetReductions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet micro-simulations are slow")

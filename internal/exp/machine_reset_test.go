@@ -67,8 +67,9 @@ func runHashed(m *Machine, d sim.Time) (uint64, int, uint64) {
 }
 
 // resetConfigs is every controller on an SSD, an HDD and a remote volume,
-// plus one machine with faults (a device hang long enough to time bios out
-// and detach them), a short retry deadline and a trace recorder.
+// plus one machine with faults (a device hang long enough to time bios out,
+// leaving the block layer holding them for their late completions), a
+// short retry deadline and a trace recorder.
 func resetConfigs() []MachineConfig {
 	hdd, remote := device.EvalHDD(), device.EBSgp3()
 	var cfgs []MachineConfig

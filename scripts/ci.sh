@@ -35,12 +35,22 @@ fi
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -tags sanitizer (sim, device, bio, blk, core, ctl)"
+echo "== go test -tags sanitizer (sim, device, bio, blk, core, ctl, check)"
 # Seconds, not minutes: the engine, device, bio, block-layer, iocost and
 # controller packages with the invariant sanitizer compiled in, so a
 # per-bio life-cycle break or a bio queued on two lists fails tier-2
-# rather than waiting for tier-3's whole-suite pass.
-go test -tags sanitizer ./internal/sim ./internal/device ./internal/bio ./internal/blk ./internal/core ./internal/ctl
+# rather than waiting for tier-3's whole-suite pass. internal/check adds
+# repeated timeouts, where the block layer owns a bio until its late
+# completion.
+go test -tags sanitizer ./internal/sim ./internal/device ./internal/bio ./internal/blk ./internal/core ./internal/ctl ./internal/check
+
+echo "== bio.Pool.Get inlines"
+# Every submission calls Get; a Get that stops inlining costs the null
+# stack a few percent of its throughput.
+if ! go build -gcflags=-m ./internal/bio 2>&1 | grep -q 'can inline (\*Pool).Get'; then
+	echo "bio.(*Pool).Get no longer inlines"
+	exit 1
+fi
 
 echo "== go test -race ./..."
 # internal/exp's TestParallelMatchesSerial toggles the parallel fan-out
