@@ -115,7 +115,9 @@ fault-smoke:
 # CLI — and the streaming aggregation must hold retained memory bounded
 # (TestClusterBoundedMemory compares 2k- vs 32k-host retained heap) and
 # allocate nothing per host (TestClusterAllocsPerHost compares 2k- vs
-# 32k-host allocation counts). Part of tier-2 CI.
+# 32k-host allocation counts). The measured curves' grid runs its cells on
+# two workers in a scheduling-dependent order, so a -measure run must give
+# the same bytes at GOMAXPROCS 1 and 2. Part of tier-2 CI.
 fleet-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	go build -o "$$dir/iocost-fleet" ./cmd/iocost-fleet; \
@@ -135,7 +137,12 @@ fleet-smoke:
 	"$$dir/iocost-fleet" -hosts 10000 -seed 7 -fidelity sampled -sample-frac 0.01 -workers 4 -mode openmetrics -o "$$dir/s4.om"; \
 	cmp "$$dir/s1.om" "$$dir/s4.om"; \
 	grep -q 'fidelity: full-machine hosts=' "$$dir/s1.txt"; \
-	echo "fleet-smoke OK: 100k hosts byte-identical at workers 1/4/16, memory bounded; 10k sampled-fidelity run byte-identical at workers 1/4"
+	for mode in text openmetrics; do \
+		GOMAXPROCS=1 "$$dir/iocost-fleet" -hosts 2000 -seed 7 -measure -trials 1 -mode $$mode -o "$$dir/m1.$$mode"; \
+		GOMAXPROCS=2 "$$dir/iocost-fleet" -hosts 2000 -seed 7 -measure -trials 1 -mode $$mode -o "$$dir/m2.$$mode"; \
+		cmp "$$dir/m1.$$mode" "$$dir/m2.$$mode"; \
+	done; \
+	echo "fleet-smoke OK: 100k hosts byte-identical at workers 1/4/16, memory bounded; 10k sampled-fidelity run byte-identical at workers 1/4; measured curves byte-identical at GOMAXPROCS 1/2"
 
 # Incident-observability smoke: the flight recorder and Perfetto export are
 # part of the determinism contract. The same storm run armed with -flight

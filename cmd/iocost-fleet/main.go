@@ -60,7 +60,7 @@ func main() {
 	flightSample := flag.Float64("flight-sample", 0, "sample this fraction of hosts with flight recorders (seed-derived subset; 0 disables)")
 	flightFail := flag.Float64("flight-fail", 0, "per-host per-tick failure fraction that files an incident (0 = default 0.5)")
 	measure := flag.Bool("measure", false, "measure failure curves with live per-host micro-simulations instead of canned curves")
-	trials := flag.Int("trials", 3, "micro-simulation trials per pressure point for -measure")
+	trials := flag.Int("trials", 3, "micro-simulation trials per pressure point (requires -measure)")
 	mode := flag.String("mode", "text", "output: text summary, openmetrics roll-ups, or json export")
 	out := flag.String("o", "", "write output to this file instead of stdout")
 	cli.Parse(tool)
@@ -132,7 +132,16 @@ func main() {
 		cli.Fatalf(tool, "-flight-fail requires -flight-sample > 0")
 	}
 	if *measure {
+		if *trials < 1 {
+			cli.Fatalf(tool, "-trials %d: want at least 1", *trials)
+		}
 		cfg.Old, cfg.New = exp.MeasuredFleetCurves(kind, *trials)
+	} else {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "trials" {
+				cli.Fatalf(tool, "-trials requires -measure")
+			}
+		})
 	}
 
 	s, err := fleet.RunCluster(cfg)

@@ -14,7 +14,8 @@ import (
 // TestBacklogAllocatesOnlyBios pins what a growing throttled backlog
 // costs: nothing beyond its bios. An iocost host from hostFactory runs
 // under fleet.runOp's open-loop main workload at pressure 1.1 on a pool
-// that one earlier trial already grew, as MeasureCurve's trials do.
+// that one earlier trial already grew, as a fleet.MeasureGrid worker's
+// cells do.
 // During a 100 ms window in which the backlog grows past that trial's
 // high-water mark (and past 16,384 queued bios, where a doubling queue
 // would reallocate), the heap objects allocated must not exceed the slabs

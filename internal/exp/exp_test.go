@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/iocost-sim/iocost/internal/device"
+	"github.com/iocost-sim/iocost/internal/fleet"
 	"github.com/iocost-sim/iocost/internal/rcb"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/tune"
@@ -326,12 +327,17 @@ func TestFig18Fig19FleetReductions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet micro-simulations are slow")
 	}
-	r18 := Fig18(FigFleetOptions{Trials: 3, Hosts: 600})
+	// Fig18 and Fig19 at 3 trials and 600 hosts, on the shared grid.
+	fig := func(kind fleet.OpKind) FleetResult {
+		g := fleetGrid(kind)
+		return sweepFleet(g.Curve(0, 3), g.Curve(1, 3), 600)
+	}
+	r18 := fig(fleet.PackageFetch)
 	t.Logf("\n%s", FormatFleet(r18))
 	if r18.Reduction < 5 || r18.Reduction > 30 {
 		t.Errorf("package-fetch reduction = %.1fx, want ~10x", r18.Reduction)
 	}
-	r19 := Fig19(FigFleetOptions{Trials: 3, Hosts: 600})
+	r19 := fig(fleet.ContainerCleanup)
 	t.Logf("\n%s", FormatFleet(r19))
 	if r19.Reduction < 2 || r19.Reduction > 8 {
 		t.Errorf("container-cleanup reduction = %.1fx, want ~3x", r19.Reduction)

@@ -74,8 +74,14 @@ func runFleet(kind fleet.OpKind, opts FigFleetOptions) FleetResult {
 		trials = 5
 	}
 	old, new_ := MeasuredFleetCurves(kind, trials)
+	return sweepFleet(old, new_, opts.Hosts)
+}
+
+// sweepFleet sweeps a region of hosts migrating from the old curve to the
+// new one.
+func sweepFleet(old, new_ fleet.Curve, hosts int) FleetResult {
 	weekly := fleet.MigrationSweep(old, new_, fleet.MigrationConfig{
-		Hosts: opts.Hosts, Seed: 0x181,
+		Hosts: hosts, Seed: 0x181,
 	})
 	first, last := weekly.Y[0], weekly.Y[len(weekly.Y)-1]
 	red := 0.0
@@ -84,7 +90,7 @@ func runFleet(kind fleet.OpKind, opts FigFleetOptions) FleetResult {
 	} else if first > 0 {
 		red = first // fully eliminated; report first-week count as the factor floor
 	}
-	return FleetResult{Kind: kind, OldCurve: old, NewCurve: new_, Weekly: weekly, Reduction: red}
+	return FleetResult{Kind: old.Kind, OldCurve: old, NewCurve: new_, Weekly: weekly, Reduction: red}
 }
 
 // Fig18 reproduces the package-fetch failure-reduction sweep.

@@ -3,9 +3,11 @@ package exp
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/iocost-sim/iocost/internal/fleet"
+	"github.com/iocost-sim/iocost/internal/sim"
 )
 
 // runOpPin records one fleet.RunOp outcome: whether the operation met its
@@ -15,8 +17,23 @@ type runOpPin struct {
 	ns int64
 }
 
+// fleetGrids holds one 3-trial measureFleetGrid per op kind, built once
+// per test binary: TestRunOpPinned reads its trial 0,
+// TestMeasuredFleetCurvesPinned folds its first 2 trials and
+// TestFig18Fig19FleetReductions all 3.
+var fleetGrids [2]struct {
+	once sync.Once
+	g    *fleet.Grid
+}
+
+func fleetGrid(kind fleet.OpKind) *fleet.Grid {
+	f := &fleetGrids[kind]
+	f.once.Do(func() { f.g = measureFleetGrid(kind, 3) })
+	return f.g
+}
+
 // runOpPins holds RunOp's outcome for {iolatency, iocost} × {fetch,
-// cleanup} × curvePressures at the seeds MeasureCurve gives trial 0.
+// cleanup} × curvePressures at the seeds the grid gives trial 0.
 // Stopping the micro-simulation early must not move any of them.
 var runOpPins = map[string][]runOpPin{
 	"iolatency/package-fetch":     {{true, 344841634}, {true, 705622580}, {true, 1947289604}, {true, 4525651215}, {false, 0}, {false, 0}, {false, 0}},
@@ -25,58 +42,55 @@ var runOpPins = map[string][]runOpPin{
 	"iocost/container-cleanup":    {{true, 236172790}, {true, 474276945}, {true, 474319440}, {true, 510141275}, {true, 567145849}, {true, 567060741}, {true, 567046590}},
 }
 
-// TestRunOpPinned pins fleet.RunOp's outcomes on the Figs 18/19 hosts.
-// MeasureCurve reads only ok; the completion time is pinned too whenever
-// the operation met its deadline.
+// TestRunOpPinned pins fleet.RunOp's outcomes on the Figs 18/19 hosts, as
+// the grid's trial-0 cells, which ran on reused engines and pools. The
+// curves read only ok; the completion time is pinned too whenever the
+// operation met its deadline. One fresh RunOp per kind must match its
+// grid cell, so that reuse stays equal to a fresh engine.
 func TestRunOpPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet micro-simulations are slow")
 	}
-	type cell struct {
-		ctl  string
-		kind fleet.OpKind
-		seed uint64
+	pin := func(d sim.Time, ok bool) runOpPin {
+		if !ok {
+			return runOpPin{}
+		}
+		return runOpPin{true, int64(d)}
 	}
-	var cells []cell
+	var dump strings.Builder
 	for i, ctl := range []string{KindIOLatency, KindIOCost} {
 		for _, kind := range []fleet.OpKind{fleet.PackageFetch, fleet.ContainerCleanup} {
-			cells = append(cells, cell{ctl, kind, 0x18 + uint64(i)})
-		}
-	}
-	got := ForEach(len(cells), func(i int) []runOpPin {
-		c := cells[i]
-		pins := make([]runOpPin, len(curvePressures))
-		for j, p := range curvePressures {
-			d, ok := fleet.RunOp(hostFactory(c.ctl), c.kind, p, c.seed+uint64(p*1000))
-			pins[j] = runOpPin{ok: ok}
-			if ok {
-				pins[j].ns = int64(d)
+			g := fleetGrid(kind)
+			key := ctl + "/" + kind.String()
+			fmt.Fprintf(&dump, "%q: {", key)
+			want := runOpPins[key]
+			for j, p := range curvePressures {
+				got := pin(g.Cell(i, j, 0))
+				fmt.Fprintf(&dump, "{%v, %d}, ", got.ok, got.ns)
+				if j >= len(want) || got != want[j] {
+					t.Errorf("%s p=%.2f: got ok=%v ns=%d, want %+v", key, p, got.ok, got.ns, want)
+				}
 			}
-		}
-		return pins
-	})
-	var dump strings.Builder
-	for i, c := range cells {
-		key := c.ctl + "/" + c.kind.String()
-		fmt.Fprintf(&dump, "%q: {", key)
-		for _, p := range got[i] {
-			fmt.Fprintf(&dump, "{%v, %d}, ", p.ok, p.ns)
-		}
-		dump.WriteString("},\n")
-		want := runOpPins[key]
-		for j, p := range got[i] {
-			if j >= len(want) || p != want[j] {
-				t.Errorf("%s p=%.2f: got ok=%v ns=%d, want %+v", key, curvePressures[j], p.ok, p.ns, want)
-			}
+			dump.WriteString("},\n")
 		}
 	}
 	if t.Failed() {
 		t.Logf("current outcomes:\n%s", dump.String())
 	}
+	// io.latency at p=0.80: the cheap end's worker reaches it after a
+	// dozen other cells, so it ran on a reused engine and pool.
+	const j = 2
+	for _, kind := range []fleet.OpKind{fleet.PackageFetch, fleet.ContainerCleanup} {
+		fresh := pin(fleet.RunOp(hostFactory(KindIOLatency), kind, curvePressures[j], 0x18+uint64(curvePressures[j]*1000)))
+		if cell := pin(fleetGrid(kind).Cell(0, j, 0)); fresh != cell {
+			t.Errorf("%v: fresh RunOp %+v, grid cell %+v", kind, fresh, cell)
+		}
+	}
 }
 
 // measuredCurvePins holds MeasuredFleetCurves(kind, 2) failure
-// probabilities, old controller then new, printed at %.6f.
+// probabilities, old controller then new, printed at %.6f: the grid's
+// first 2 trials folded.
 var measuredCurvePins = map[fleet.OpKind][2]string{
 	fleet.PackageFetch: {
 		"0.009000 0.009000 0.009000 0.009000 1.000000 1.000000 1.000000",
@@ -94,8 +108,8 @@ func TestMeasuredFleetCurvesPinned(t *testing.T) {
 		t.Skip("fleet micro-simulations are slow")
 	}
 	for _, kind := range []fleet.OpKind{fleet.PackageFetch, fleet.ContainerCleanup} {
-		old, new_ := MeasuredFleetCurves(kind, 2)
-		got := [2]string{curveFailProbs(old), curveFailProbs(new_)}
+		g := fleetGrid(kind)
+		got := [2]string{curveFailProbs(g.Curve(0, 2)), curveFailProbs(g.Curve(1, 2))}
 		if want := measuredCurvePins[kind]; got != want {
 			t.Errorf("%v curves:\n got %q\nwant %q", kind, got, want)
 		}

@@ -22,7 +22,7 @@ type FleetScaleOptions struct {
 	Ticks int
 	Seed  uint64
 	// Measure derives the failure curves from live per-host
-	// micro-simulations (MeasureCurve, expensive) instead of the canned
+	// micro-simulations (fleet.MeasureGrid, expensive) instead of the canned
 	// fleet.DefaultCurves.
 	Measure bool
 	// Trials per micro-simulation point when Measure is set; 0 selects 3.
@@ -117,12 +117,15 @@ func MeasuredFleetCurves(kind fleet.OpKind, trials int) (old, new_ fleet.Curve) 
 	if trials <= 0 {
 		trials = 3
 	}
-	// The two controller curves are independent micro-simulation sweeps.
-	curveKinds := []string{KindIOLatency, KindIOCost}
-	curves := ForEach(2, func(i int) fleet.Curve {
-		return fleet.MeasureCurve(hostFactory(curveKinds[i]), kind, curvePressures, trials, 0x18+uint64(i))
-	})
-	return curves[0], curves[1]
+	g := measureFleetGrid(kind, trials)
+	return g.Curve(0, trials), g.Curve(1, trials)
+}
+
+// measureFleetGrid runs the micro-simulations behind both controllers'
+// curves as one grid: curve 0 is io.latency, curve 1 iocost.
+func measureFleetGrid(kind fleet.OpKind, trials int) *fleet.Grid {
+	factories := []fleet.HostFactory{hostFactory(KindIOLatency), hostFactory(KindIOCost)}
+	return fleet.MeasureGrid(factories, kind, curvePressures, trials, 0x18)
 }
 
 // FormatFleetScale renders the cluster summary.

@@ -298,7 +298,7 @@ func (c ClusterConfig) Validate() error {
 // its curve jumps toward 1 above ~90% pressure, while iocost's guaranteed
 // hierarchy share keeps operations inside their deadlines at every
 // pressure. The non-IO failure floor (network flakes, bad packages) is
-// folded in. MeasureCurve regenerates these from live micro-sims.
+// folded in. MeasureGrid regenerates these from live micro-sims.
 func DefaultCurves(kind OpKind) (old, new_ Curve) {
 	pressures := []float64{0.3, 0.6, 0.8, 0.88, 0.95, 1.02, 1.1}
 	switch kind {

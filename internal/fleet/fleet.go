@@ -12,6 +12,7 @@ package fleet
 
 import (
 	"sort"
+	"sync"
 
 	"github.com/iocost-sim/iocost/internal/bio"
 	"github.com/iocost-sim/iocost/internal/blk"
@@ -183,22 +184,99 @@ type Curve struct {
 	FailProb  []float64
 }
 
-// MeasureCurve builds a failure-probability curve by running trials at each
-// pressure level. The trials run one after another on one engine and bio
-// pool, reset and reclaimed between trials, so a curve costs one engine
-// and one pool's high-water mark of bios rather than one per trial.
-func MeasureCurve(factory HostFactory, kind OpKind, pressures []float64, trials int, seed uint64) Curve {
-	c := Curve{Kind: kind, Pressures: append([]float64(nil), pressures...)}
-	sort.Float64s(c.Pressures)
-	base := specFor(kind).baseFail
-	eng, pool := sim.New(), bio.NewPool()
-	for _, p := range c.Pressures {
+// Grid holds the outcomes of the micro-simulations behind a set of
+// failure-probability curves: one cell per (curve, pressure, trial).
+// Cells are ordered by pressure, which tracks their cost: a backlog
+// grows with the main workload, so the cells at the highest pressure
+// queue the most bios.
+type Grid struct {
+	kind      OpKind
+	pressures []float64 // ascending
+	trials    int
+	curves    int
+	cells     []gridCell
+}
+
+type gridCell struct {
+	lat sim.Time
+	ok  bool
+}
+
+// MeasureGrid runs every cell of the grid for the curves the factories
+// build, kind's operation at each pressure, trials times. Curve i's trial
+// t at pressure p runs RunOp's micro-simulation at seed
+// seed+i+t*7919+p*1000, so each cell is a pure function of its seed and
+// the grid is the same whichever order its cells run in.
+//
+// Exactly two workers run the cells, whatever GOMAXPROCS is: one claims
+// from the expensive end and the other from the cheap end until they meet.
+// Each owns one engine and one bio pool, reset and reclaimed between
+// cells, and a reclaimed pool keeps its high-water bios. The two pools
+// together therefore hold at most the bios of the grid's two largest
+// cells, and the cheap end's pool grows only as far as the cells it
+// reaches before the two workers meet.
+func MeasureGrid(factories []HostFactory, kind OpKind, pressures []float64, trials int, seed uint64) *Grid {
+	g := &Grid{kind: kind, pressures: append([]float64(nil), pressures...), trials: trials, curves: len(factories)}
+	sort.Float64s(g.pressures)
+	g.cells = make([]gridCell, len(g.pressures)*g.curves*trials)
+
+	var mu sync.Mutex
+	lo, hi := 0, len(g.cells)
+	claim := func(top bool) (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case lo >= hi:
+			return 0, false
+		case top:
+			hi--
+			return hi, true
+		default:
+			lo++
+			return lo - 1, true
+		}
+	}
+	var wg sync.WaitGroup
+	for _, top := range []bool{false, true} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng, pool := sim.New(), bio.NewPool()
+			for c, ok := claim(top); ok; c, ok = claim(top) {
+				t := c % trials
+				i := c / trials % g.curves
+				p := g.pressures[c/trials/g.curves]
+				eng.Reset()
+				pool.Reclaim()
+				cell := &g.cells[c]
+				cell.lat, cell.ok = runOp(eng, pool, factories[i], kind, p, seed+uint64(i)+uint64(t)*7919+uint64(p*1000))
+			}
+		}()
+	}
+	wg.Wait()
+	return g
+}
+
+// Cell returns the outcome of curve i's trial t at the pth pressure in
+// ascending order, as RunOp reports it.
+func (g *Grid) Cell(i, p, t int) (sim.Time, bool) {
+	c := g.cells[(p*g.curves+i)*g.trials+t]
+	return c.lat, c.ok
+}
+
+// Curve folds curve i's first trials trials at each pressure into a
+// failure-probability curve: the share of trials that missed their
+// deadline, plus the operation's non-IO failure floor on the rest.
+func (g *Grid) Curve(i, trials int) Curve {
+	if trials > g.trials {
+		panic("fleet: folding more trials than the grid ran")
+	}
+	c := Curve{Kind: g.kind, Pressures: append([]float64(nil), g.pressures...)}
+	base := specFor(g.kind).baseFail
+	for p := range g.pressures {
 		fails := 0
 		for t := 0; t < trials; t++ {
-			eng.Reset()
-			pool.Reclaim()
-			_, ok := runOp(eng, pool, factory, kind, p, seed+uint64(t)*7919+uint64(p*1000))
-			if !ok {
+			if _, ok := g.Cell(i, p, t); !ok {
 				fails++
 			}
 		}
