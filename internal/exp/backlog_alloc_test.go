@@ -12,10 +12,10 @@ import (
 )
 
 // TestBacklogAllocatesOnlyBios pins what a growing throttled backlog
-// costs: nothing beyond its bios. An iocost host from hostFactory runs
-// under fleet.runOp's open-loop main workload at pressure 1.1 on a pool
-// that one earlier trial already grew, as a fleet.MeasureGrid worker's
-// cells do.
+// costs: nothing beyond its bios. An iocost curve-cell host runs under
+// fleet.RunOp's open-loop main workload at pressure 1.1 on a machine reset
+// in place after one earlier trial grew its pool, as a fleet.MeasureGrid
+// worker's cells do.
 // During a 100 ms window in which the backlog grows past that trial's
 // high-water mark (and past 16,384 queued bios, where a doubling queue
 // would reallocate), the heap objects allocated must not exceed the slabs
@@ -31,13 +31,11 @@ func TestBacklogAllocatesOnlyBios(t *testing.T) {
 		from     = 750 * sim.Millisecond // window start
 		to       = from + 100*sim.Millisecond
 	)
-	eng, pool := sim.New(), bio.NewPool()
+	var m *Machine
 	trial := func() {
-		eng.Reset()
-		pool.Reclaim()
-		h := hostFactory(KindIOCost)(eng, pool, 0x18)
-		job := h.Workload.NewChild("job", cgroup.DefaultWeight)
-		workload.NewReplayer(h.Q, job, workload.DemandProfile{
+		fleetMachine(&m, KindIOCost, 0x18)
+		job := m.Workload.NewChild("job", cgroup.DefaultWeight)
+		workload.NewReplayer(m.Q, job, workload.DemandProfile{
 			Name:          "pressure",
 			ReadBps:       pressure * 450e6,
 			WriteBps:      pressure * 120e6,
@@ -47,9 +45,10 @@ func TestBacklogAllocatesOnlyBios(t *testing.T) {
 		}, 0, 0x18^0xf1ee7).Start()
 	}
 	trial()
-	eng.RunUntil(grown)
+	m.Run(grown)
 	trial()
-	eng.RunUntil(from)
+	m.Run(from)
+	pool := m.pool
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// Allocated less Free counts the bios in flight or queued.
@@ -57,7 +56,7 @@ func TestBacklogAllocatesOnlyBios(t *testing.T) {
 	live0 := news0 - uint64(pool.Free())
 	var a, b runtime.MemStats
 	runtime.ReadMemStats(&a)
-	eng.RunUntil(to)
+	m.Run(to)
 	runtime.ReadMemStats(&b)
 	news1 := pool.Allocated()
 	live1 := news1 - uint64(pool.Free())

@@ -4,48 +4,46 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/iocost-sim/iocost/internal/bio"
-	"github.com/iocost-sim/iocost/internal/blk"
-	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/ctl"
 	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/fleet"
+	"github.com/iocost-sim/iocost/internal/rng"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/stats"
 )
 
-// hostFactory builds a fleet.Host running the given mechanism on the
-// older-generation SSD (the fleet's most contended device class).
-func hostFactory(kind string) fleet.HostFactory {
-	return func(eng *sim.Engine, pool *bio.Pool, seed uint64) fleet.Host {
-		spec := device.OlderGenSSD()
-		dev := device.NewSSD(eng, spec, seed)
-		var c blk.Controller
-		if kind == KindIOCost {
-			c = newIOCostController(spec)
-		} else {
-			var err error
-			if c, err = ctl.New(kind, ctl.Config{}); err != nil {
-				panic("fleet: " + err.Error())
-			}
-		}
-		q := blk.NewWithPool(eng, dev, c, 0, pool)
+// fleetCell runs one Figs 18/19 micro-simulation, fleet.RunOp of kind at
+// pressure and seed, on fleetMachine(m, ctlKind, seed).
+func fleetCell(m **Machine, ctlKind string, kind fleet.OpKind, pressure float64, seed uint64) (sim.Time, bool) {
+	h := fleetMachine(m, ctlKind, seed)
+	return fleet.RunOp(fleet.Host{Q: h.Q, System: h.System, HostCritical: h.HostCritical, Workload: h.Workload},
+		kind, pressure, seed)
+}
 
-		hier := cgroup.NewHierarchy()
-		h := fleet.Host{
-			Q:            q,
-			System:       hier.Root().NewChild("system", 50),
-			HostCritical: hier.Root().NewChild("hostcritical", 100),
-			Workload:     hier.Root().NewChild("workload", 850),
-		}
-		if iol, ok := c.(*ctl.IOLatency); ok {
-			// Production io.latency deployments protect the workload
-			// tier; system services run without targets (lowest
-			// priority), which is exactly how they starve.
-			iol.SetTarget(h.Workload, 10*sim.Millisecond)
-		}
-		return h
+// fleetMachine builds the host of a Figs 18/19 cell at seed: the ctlKind
+// mechanism on the older-generation SSD (the fleet's most contended device
+// class). It resets *m in place, or stores a new machine in *m when it is
+// nil, and returns *m.
+func fleetMachine(m **Machine, ctlKind string, seed uint64) *Machine {
+	// The machine seeds its device with Seed^deviceSeedTag: the cell's
+	// own seed.
+	cfg := MachineConfig{
+		Device:     ssdChoice(device.OlderGenSSD()),
+		Controller: ctlKind,
+		Seed:       rng.DeriveSeed(seed, deviceSeedTag),
 	}
+	if *m == nil {
+		*m = MustNewMachine(cfg)
+	} else if err := (*m).Reset(cfg); err != nil {
+		panic(err)
+	}
+	if iol, ok := (*m).Ctl.(*ctl.IOLatency); ok {
+		// Production io.latency deployments protect the workload tier;
+		// system services run without targets (lowest priority), which
+		// is exactly how they starve.
+		iol.SetTarget((*m).Workload, 10*sim.Millisecond)
+	}
+	return *m
 }
 
 // FleetResult is one migration sweep (Figure 18 or 19).

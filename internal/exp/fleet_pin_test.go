@@ -43,10 +43,11 @@ var runOpPins = map[string][]runOpPin{
 }
 
 // TestRunOpPinned pins fleet.RunOp's outcomes on the Figs 18/19 hosts, as
-// the grid's trial-0 cells, which ran on reused engines and pools. The
+// the grid's trial-0 cells, which ran on machines reset in place. The
 // curves read only ok; the completion time is pinned too whenever the
-// operation met its deadline. One fresh RunOp per kind must match its
-// grid cell, so that reuse stays equal to a fresh engine.
+// operation met its deadline. One cell per kind on a freshly built
+// machine must match its grid cell, so that reuse stays equal to a fresh
+// machine.
 func TestRunOpPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet micro-simulations are slow")
@@ -78,12 +79,13 @@ func TestRunOpPinned(t *testing.T) {
 		t.Logf("current outcomes:\n%s", dump.String())
 	}
 	// io.latency at p=0.80: the cheap end's worker reaches it after a
-	// dozen other cells, so it ran on a reused engine and pool.
+	// dozen other cells, so it ran on a reset machine.
 	const j = 2
 	for _, kind := range []fleet.OpKind{fleet.PackageFetch, fleet.ContainerCleanup} {
-		fresh := pin(fleet.RunOp(hostFactory(KindIOLatency), kind, curvePressures[j], 0x18+uint64(curvePressures[j]*1000)))
+		var m *Machine
+		fresh := pin(fleetCell(&m, KindIOLatency, kind, curvePressures[j], 0x18+uint64(curvePressures[j]*1000)))
 		if cell := pin(fleetGrid(kind).Cell(0, j, 0)); fresh != cell {
-			t.Errorf("%v: fresh RunOp %+v, grid cell %+v", kind, fresh, cell)
+			t.Errorf("%v: cell on a fresh machine %+v, grid cell %+v", kind, fresh, cell)
 		}
 	}
 }

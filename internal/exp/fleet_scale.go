@@ -38,9 +38,8 @@ type FleetScaleOptions struct {
 	// Fidelity selects the per-host model (outcome curves, a sampled
 	// subset of full machines, or full machines everywhere); the zero
 	// value keeps the outcome model. Passed through to
-	// fleet.ClusterConfig.Fidelity — wire scenario.NewFleetHost (or the
-	// facade's NewFleetHost) as the machine factory; exp cannot import
-	// scenario itself.
+	// fleet.ClusterConfig.Fidelity — wire scenario.NewFleetHost as the
+	// machine factory; exp cannot import scenario itself.
 	Fidelity fleet.Fidelity
 }
 
@@ -122,10 +121,15 @@ func MeasuredFleetCurves(kind fleet.OpKind, trials int) (old, new_ fleet.Curve) 
 }
 
 // measureFleetGrid runs the micro-simulations behind both controllers'
-// curves as one grid: curve 0 is io.latency, curve 1 iocost.
+// curves as one grid: curve 0 is io.latency, curve 1 iocost. Each grid
+// worker keeps one machine, reset between its cells.
 func measureFleetGrid(kind fleet.OpKind, trials int) *fleet.Grid {
-	factories := []fleet.HostFactory{hostFactory(KindIOLatency), hostFactory(KindIOCost)}
-	return fleet.MeasureGrid(factories, kind, curvePressures, trials, 0x18)
+	ctls := [2]string{KindIOLatency, KindIOCost}
+	var ms [2]*Machine
+	return fleet.MeasureGrid(len(ctls), kind, curvePressures, trials, 0x18,
+		func(w, i int, p float64, seed uint64) (sim.Time, bool) {
+			return fleetCell(&ms[w], ctls[i], kind, p, seed)
+		})
 }
 
 // FormatFleetScale renders the cluster summary.

@@ -222,6 +222,9 @@ func iocostConfig(cfg MachineConfig) core.Config {
 	return c
 }
 
+// deviceSeedTag derives the device's noise seed from the machine seed.
+const deviceSeedTag = 0xde5
+
 // faultSeedTag derives the injector's seed stream from the machine seed, so
 // enabling faults never perturbs device or workload randomness.
 const faultSeedTag = 0xfa17
@@ -290,7 +293,7 @@ func (m *Machine) build(cfg MachineConfig) error {
 	eng := m.Eng
 	m.Hier = cgroup.NewHierarchy()
 
-	m.Dev = cfg.Device.New(eng, rng.DeriveSeed(cfg.Seed, 0xde5))
+	m.Dev = cfg.Device.New(eng, rng.DeriveSeed(cfg.Seed, deviceSeedTag))
 
 	if !cfg.Faults.Empty() {
 		inj, err := fault.NewInjector(eng, m.Dev, cfg.Faults, rng.DeriveSeed(cfg.Seed, faultSeedTag))

@@ -23,20 +23,14 @@ import (
 	"github.com/iocost-sim/iocost/internal/workload"
 )
 
-// Host is one machine's IO stack as fleet experiments see it: the block
-// queue plus the three top-level slices of the production hierarchy
-// (Figure 1).
+// Host is the cgroup stack a fleet operation runs on: a block queue plus
+// the three top-level slices of the production hierarchy (Figure 1).
 type Host struct {
 	Q            *blk.Queue
 	System       *cgroup.Node
 	HostCritical *cgroup.Node
 	Workload     *cgroup.Node
 }
-
-// HostFactory builds a fresh host with some controller on eng, an engine
-// at time zero with nothing scheduled, drawing its bios from pool (see
-// blk.NewWithPool).
-type HostFactory func(eng *sim.Engine, pool *bio.Pool, seed uint64) Host
 
 // OpKind selects the system-slice operation under test.
 type OpKind int
@@ -57,15 +51,9 @@ func (o OpKind) String() string {
 	return "container-cleanup"
 }
 
-// opSpec describes the operation and its failure threshold.
+// opSpec is the full-size operation and its non-IO failure floor.
 type opSpec struct {
-	chunk    int64
-	chunks   int
-	window   int // concurrent chunks in flight
-	op       bio.Op
-	flags    bio.Flags
-	deadline sim.Time
-	system   bool // run in System (true) or HostCritical (false)
+	op OpProbe
 	// baseFail is the operation's non-IO failure floor (network flakes,
 	// races, bad packages): failures no IO controller can remove, which
 	// set the denominator of the achievable reduction factor.
@@ -77,36 +65,96 @@ func specFor(kind OpKind) opSpec {
 	case PackageFetch:
 		// 96MiB downloaded (written) then verified (read) in 512KiB
 		// chunks with writeback-style parallelism, within 10s.
-		return opSpec{chunk: 512 << 10, chunks: 96 * 2, window: 8, op: bio.Write,
-			deadline: 10 * sim.Second, system: true, baseFail: 0.009}
+		return opSpec{op: OpProbe{Scale: 1, Chunk: 512 << 10, Chunks: 96 * 2, Window: 8,
+			ReadHalf: true, System: true, Deadline: 10 * sim.Second}, baseFail: 0.009}
 	default:
-		// 480 16KiB synchronous metadata writes, a few in flight, within
-		// 5s (the paper's 5s stall threshold).
-		return opSpec{chunk: 16 << 10, chunks: 480, window: 4, op: bio.Write, flags: bio.Sync,
-			deadline: 5 * sim.Second, system: false, baseFail: 0.055}
+		// 480 16KiB synchronous metadata writes at random offsets, a few
+		// in flight, within 5s (the paper's 5s stall threshold).
+		return opSpec{op: OpProbe{Scale: 1, Chunk: 16 << 10, Chunks: 480, Window: 4,
+			Sync: true, RandomOff: true, Deadline: 5 * sim.Second}, baseFail: 0.055}
 	}
+}
+
+// OpState tracks one operation that OpProbe.Start began.
+type OpState struct {
+	start     sim.Time
+	issued    int
+	completed int
+	stopped   bool
+	// Done reports that every chunk completed; Lat is then the time from
+	// the operation's start to its last completion.
+	Done bool
+	Lat  sim.Time
+}
+
+// Stop stops an unfinished operation: its chunks in flight still
+// complete, but it issues no further chunk and takes no further offset
+// draw.
+func (st *OpState) Stop() { st.stopped = true }
+
+// Start begins the operation on q in cgroup cg, with chunk offsets from
+// base: sequential, or drawn from rnd when p.RandomOff. It keeps p.Window
+// chunks in flight until all p.Chunks complete or st is stopped, and
+// records its progress in st. It is the only code that submits a fleet
+// operation's chunks.
+func (p OpProbe) Start(q *blk.Queue, cg *cgroup.Node, base int64, rnd *rng.Source, st *OpState) {
+	eng := q.Engine()
+	st.start = eng.Now()
+	var flags bio.Flags
+	if p.Sync {
+		flags = bio.Sync
+	}
+	var pump func()
+	onDone := func(*bio.Bio) {
+		st.completed++
+		if st.completed == p.Chunks {
+			st.Done = true
+			st.Lat = eng.Now() - st.start
+			return
+		}
+		pump()
+	}
+	pump = func() {
+		if st.stopped {
+			return
+		}
+		for st.issued-st.completed < p.Window && st.issued < p.Chunks {
+			op := bio.Write
+			if p.ReadHalf && st.issued >= p.Chunks/2 {
+				op = bio.Read // the fetch's verification pass
+			}
+			off := base + int64(st.issued)*p.Chunk
+			if p.RandomOff {
+				off = base + rnd.Int63n(1<<30)
+			}
+			st.issued++
+			b := q.BioPool().Get()
+			b.Op = op
+			b.Flags = flags
+			b.Off = off
+			b.Size = p.Chunk
+			b.CG = cg
+			b.OnDone = onDone
+			q.Submit(b)
+		}
+	}
+	pump()
 }
 
 // runStep is the engine step while RunOp waits for the operation to finish
 // or its deadline to pass.
 const runStep = 10 * sim.Millisecond
 
-// RunOp executes one operation on a freshly built host whose main workload
-// exerts the given pressure (fraction of device random-read capacity plus
-// proportional write load). It returns the operation's completion time and
-// true if it finished within the deadline; otherwise it returns the 3x
-// deadline timeout the fleet records for a failed operation, and false.
-// The micro-simulation stops as soon as the outcome is known: when the
+// RunOp executes kind's full-size operation on h, a host built at time
+// zero with nothing scheduled, whose main workload exerts the given
+// pressure (fraction of device random-read capacity plus proportional
+// write load). It returns the operation's completion time and true if it
+// finished within the deadline; otherwise it returns the 3x deadline
+// timeout the fleet records for a failed operation, and false. The
+// micro-simulation stops as soon as the outcome is known: when the
 // operation completes, or once its deadline has passed.
-func RunOp(factory HostFactory, kind OpKind, pressure float64, seed uint64) (sim.Time, bool) {
-	return runOp(sim.New(), bio.NewPool(), factory, kind, pressure, seed)
-}
-
-// runOp is RunOp on a given engine and pool, which must be fresh, reset or
-// reclaimed.
-func runOp(eng *sim.Engine, pool *bio.Pool, factory HostFactory, kind OpKind, pressure float64, seed uint64) (sim.Time, bool) {
-	h := factory(eng, pool, seed)
-	spec := specFor(kind)
+func RunOp(h Host, kind OpKind, pressure float64, seed uint64) (sim.Time, bool) {
+	eng := h.Q.Engine()
 
 	// Main workload pressure: open-loop random reads plus buffered
 	// writes scaled to the requested fraction of device capability.
@@ -123,58 +171,22 @@ func runOp(eng *sim.Engine, pool *bio.Pool, factory HostFactory, kind OpKind, pr
 	// Let contention establish.
 	eng.RunUntil(500 * sim.Millisecond)
 
+	op := kind.Probe(1)
 	cg := h.HostCritical
-	if spec.system {
+	if op.System {
 		cg = h.System
 	}
-	agent := cg.NewChild("op", cgroup.DefaultWeight)
+	var st OpState
+	op.Start(h.Q, cg.NewChild("op", cgroup.DefaultWeight), 1<<41, rng.Derive(seed, 0x09), &st)
 
-	start := eng.Now()
-	var finished sim.Time
-	done := false
-	issued, completed := 0, 0
-	rnd := rng.Derive(seed, 0x09)
-	var pump func()
-	onDone := func(*bio.Bio) {
-		completed++
-		if completed == spec.chunks {
-			finished = eng.Now() - start
-			done = true
-			return
-		}
-		pump()
-	}
-	pump = func() {
-		for issued-completed < spec.window && issued < spec.chunks {
-			op := spec.op
-			off := int64(1)<<41 + int64(issued)*spec.chunk
-			if kind == PackageFetch && issued >= spec.chunks/2 {
-				op = bio.Read // verification pass
-			}
-			if kind == ContainerCleanup {
-				off = int64(1)<<41 + rnd.Int63n(1<<30)
-			}
-			issued++
-			b := h.Q.BioPool().Get()
-			b.Op = op
-			b.Flags = spec.flags
-			b.Off = off
-			b.Size = spec.chunk
-			b.CG = agent
-			b.OnDone = onDone
-			h.Q.Submit(b)
-		}
-	}
-	pump()
-
-	end := start + spec.deadline
-	for !done && eng.Now() < end {
+	end := st.start + op.Deadline
+	for !st.Done && eng.Now() < end {
 		eng.RunUntil(min(eng.Now()+runStep, end))
 	}
-	if !done {
-		return 3 * spec.deadline, false
+	if !st.Done {
+		return 3 * op.Deadline, false
 	}
-	return finished, true
+	return st.Lat, true
 }
 
 // Curve maps workload pressure to operation failure probability.
@@ -202,21 +214,22 @@ type gridCell struct {
 	ok  bool
 }
 
-// MeasureGrid runs every cell of the grid for the curves the factories
-// build, kind's operation at each pressure, trials times. Curve i's trial
-// t at pressure p runs RunOp's micro-simulation at seed
-// seed+i+t*7919+p*1000, so each cell is a pure function of its seed and
-// the grid is the same whichever order its cells run in.
+// MeasureGrid runs every cell of the grid behind curves failure-probability
+// curves of kind's operation, at each pressure, trials times. Curve i's
+// trial t at pressure p is cell(w, i, p, seed+i+t*7919+p*1000) for a
+// worker w of 0 or 1. cell must return what RunOp returns for its curve's
+// host at that pressure and seed, whichever worker runs it, so the grid is
+// the same whichever order its cells run in.
 //
-// Exactly two workers run the cells, whatever GOMAXPROCS is: one claims
-// from the expensive end and the other from the cheap end until they meet.
-// Each owns one engine and one bio pool, reset and reclaimed between
-// cells, and a reclaimed pool keeps its high-water bios. The two pools
-// together therefore hold at most the bios of the grid's two largest
-// cells, and the cheap end's pool grows only as far as the cells it
+// Exactly two workers run the cells, whatever GOMAXPROCS is: worker 0
+// claims from the cheap end and worker 1 from the expensive end until they
+// meet. A cell function that keeps one machine per worker, reset between
+// its cells, therefore holds at most the bios of the grid's two largest
+// cells, and the cheap end's machine grows only as far as the cells it
 // reaches before the two workers meet.
-func MeasureGrid(factories []HostFactory, kind OpKind, pressures []float64, trials int, seed uint64) *Grid {
-	g := &Grid{kind: kind, pressures: append([]float64(nil), pressures...), trials: trials, curves: len(factories)}
+func MeasureGrid(curves int, kind OpKind, pressures []float64, trials int, seed uint64,
+	cell func(worker, curve int, pressure float64, seed uint64) (sim.Time, bool)) *Grid {
+	g := &Grid{kind: kind, pressures: append([]float64(nil), pressures...), trials: trials, curves: curves}
 	sort.Float64s(g.pressures)
 	g.cells = make([]gridCell, len(g.pressures)*g.curves*trials)
 
@@ -237,19 +250,16 @@ func MeasureGrid(factories []HostFactory, kind OpKind, pressures []float64, tria
 		}
 	}
 	var wg sync.WaitGroup
-	for _, top := range []bool{false, true} {
+	for w, top := range []bool{false, true} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng, pool := sim.New(), bio.NewPool()
 			for c, ok := claim(top); ok; c, ok = claim(top) {
 				t := c % trials
 				i := c / trials % g.curves
 				p := g.pressures[c/trials/g.curves]
-				eng.Reset()
-				pool.Reclaim()
-				cell := &g.cells[c]
-				cell.lat, cell.ok = runOp(eng, pool, factories[i], kind, p, seed+uint64(i)+uint64(t)*7919+uint64(p*1000))
+				gc := &g.cells[c]
+				gc.lat, gc.ok = cell(w, i, p, seed+uint64(i)+uint64(t)*7919+uint64(p*1000))
 			}
 		}()
 	}

@@ -4,31 +4,20 @@ import (
 	"testing"
 
 	"github.com/iocost-sim/iocost/internal/bio"
-	"github.com/iocost-sim/iocost/internal/blk"
-	"github.com/iocost-sim/iocost/internal/cgroup"
-	"github.com/iocost-sim/iocost/internal/ctl"
-	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/fleet"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/stats"
 )
 
-// passthroughHost builds hosts with no cgroup IO control.
-func passthroughHost(eng *sim.Engine, pool *bio.Pool, seed uint64) fleet.Host {
-	dev := device.NewSSD(eng, device.OlderGenSSD(), seed)
-	q := blk.NewWithPool(eng, dev, ctl.NewNone(), 0, pool)
-	h := cgroup.NewHierarchy()
-	return fleet.Host{
-		Q:            q,
-		System:       h.Root().NewChild("system", 50),
-		HostCritical: h.Root().NewChild("hostcritical", 100),
-		Workload:     h.Root().NewChild("workload", 850),
-	}
+// runPassthrough runs kind's operation on a fresh host with no cgroup IO
+// control.
+func runPassthrough(kind fleet.OpKind, pressure float64, seed uint64) (sim.Time, bool) {
+	return fleet.RunOp(fleet.PassthroughHost(sim.New(), bio.NewPool(), seed), kind, pressure, seed)
 }
 
 func TestRunOpCompletesOnIdleHost(t *testing.T) {
 	for _, kind := range []fleet.OpKind{fleet.PackageFetch, fleet.ContainerCleanup} {
-		d, ok := fleet.RunOp(passthroughHost, kind, 0.1, 7)
+		d, ok := runPassthrough(kind, 0.1, 7)
 		if !ok {
 			t.Errorf("%v failed on a nearly idle host (took %v)", kind, d)
 		}
@@ -40,11 +29,11 @@ func TestRunOpCompletesOnIdleHost(t *testing.T) {
 // uncontrolled host starves it past the deadline and RunOp records the 3x
 // deadline timeout.
 func TestPressureSlowsOps(t *testing.T) {
-	light, ok := fleet.RunOp(passthroughHost, fleet.PackageFetch, 0.1, 7)
+	light, ok := runPassthrough(fleet.PackageFetch, 0.1, 7)
 	if !ok || light <= 0 || light > 10*sim.Second {
 		t.Errorf("light fetch: got %v ok=%v, want a completion within the 10s deadline", light, ok)
 	}
-	heavy, ok := fleet.RunOp(passthroughHost, fleet.PackageFetch, 1.05, 7)
+	heavy, ok := runPassthrough(fleet.PackageFetch, 1.05, 7)
 	if ok || heavy != 30*sim.Second {
 		t.Errorf("saturated fetch: got %v ok=%v, want the 30s timeout and ok=false", heavy, ok)
 	}

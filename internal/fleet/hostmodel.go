@@ -162,7 +162,7 @@ type Fidelity struct {
 	// 250ms, clamped to TickDur). It must be zero in outcome mode.
 	Window sim.Time
 	// Machine builds full-fidelity hosts; required unless Mode is
-	// outcome. Wire scenario.NewFleetHost (or iocost.NewFleetHost).
+	// outcome. Wire scenario.NewFleetHost.
 	Machine MachineFactory
 }
 
@@ -297,17 +297,18 @@ func (c *Calib) merge(o *Calib) {
 
 // Deadline returns the operation's completion deadline — the failure
 // threshold full-machine host models must judge their probes against.
-func (o OpKind) Deadline() sim.Time { return specFor(o).deadline }
+func (o OpKind) Deadline() sim.Time { return specFor(o).op.Deadline }
 
 // BaseFailProb returns the operation's non-IO failure floor (network
 // flakes, bad packages): the failures no controller can remove, which
 // full-machine hosts draw independently of their IO outcome.
 func (o OpKind) BaseFailProb() float64 { return specFor(o).baseFail }
 
-// OpProbe is a 1/Scale model of the fleet operation for full-fidelity
-// hosts: same chunk size, IO mix and concurrency window, chunk count and
-// deadline divided by Scale. Running the probe on a real machine and
-// multiplying its completion time back by Scale estimates the full op's
+// OpProbe is a 1/Scale model of the fleet operation: same chunk size, IO
+// mix and concurrency window, chunk count and deadline divided by Scale.
+// At scale 1 it is the operation itself, which RunOp measures the curves
+// with. Full-fidelity hosts run a smaller scale on a real machine and
+// multiply its completion time back by Scale, estimating the full op's
 // latency at a fraction of the simulation cost.
 type OpProbe struct {
 	Scale  int
@@ -328,25 +329,19 @@ type OpProbe struct {
 	Deadline sim.Time
 }
 
-// Probe returns the operation scaled down by scale (>= 1). Chunk count and
-// window keep at least one chunk in flight.
+// Probe returns the operation scaled down by scale (>= 1); Probe(1) is
+// the full-size operation. Chunk count and window keep at least one chunk
+// in flight.
 func (o OpKind) Probe(scale int) OpProbe {
 	if scale < 1 {
 		scale = 1
 	}
-	spec := specFor(o)
-	chunks := max(spec.chunks/scale, 1)
-	return OpProbe{
-		Scale:     scale,
-		Chunk:     spec.chunk,
-		Chunks:    chunks,
-		Window:    min(spec.window, chunks),
-		Sync:      spec.flags != 0,
-		ReadHalf:  o == PackageFetch,
-		RandomOff: o != PackageFetch,
-		System:    spec.system,
-		Deadline:  spec.deadline / sim.Time(scale),
-	}
+	p := specFor(o).op
+	p.Scale = scale
+	p.Chunks = max(p.Chunks/scale, 1)
+	p.Window = min(p.Window, p.Chunks)
+	p.Deadline /= sim.Time(scale)
+	return p
 }
 
 // DrawPressure samples a host-tick's main-workload IO pressure from r:
@@ -379,8 +374,8 @@ func (o *outcomeHost) reseed(cfg *ClusterConfig, h int) {
 
 func (o *outcomeHost) Tick(env HostTickEnv, acc *Summary) HostTickResult {
 	cfg := o.cfg
-	spec := specFor(cfg.Kind)
-	timeoutNS, baseLat := int64(3*spec.deadline), float64(spec.deadline)/6
+	deadline := cfg.Kind.Deadline()
+	timeoutNS, baseLat := int64(3*deadline), float64(deadline)/6
 	p := drawPressure(&o.hr)
 
 	curve := cfg.Old

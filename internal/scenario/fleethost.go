@@ -25,7 +25,6 @@ package scenario
 import (
 	"sync"
 
-	"github.com/iocost-sim/iocost/internal/bio"
 	"github.com/iocost-sim/iocost/internal/cgroup"
 	"github.com/iocost-sim/iocost/internal/exp"
 	"github.com/iocost-sim/iocost/internal/fleet"
@@ -50,12 +49,14 @@ const (
 	// controller, small enough to run twenty per tick window.
 	probeScale = 24
 	// settleWindow lets the retargeted workload mix establish contention
-	// before the tick's probes are measured (fleet.RunOp settles too).
+	// before the tick's probes are measured, as the curve cells' 500ms
+	// settle does in fleet.RunOp.
 	settleWindow = 50 * sim.Millisecond
 	// graceStep is the engine step while waiting out probe stragglers.
 	graceStep = 10 * sim.Millisecond
-	// readCapBps/writeCapBps define pressure 1.0, matching fleet.RunOp's
-	// pressure workload so both fidelities mean the same thing by "p".
+	// readCapBps/writeCapBps define pressure 1.0, matching the pressure
+	// workload fleet.RunOp gives the curve cells, so both fidelities mean
+	// the same thing by "p".
 	readCapBps  = 450e6
 	writeCapBps = 120e6
 	// probeRegion is where probe IO lands (bulk and protected replayers
@@ -108,10 +109,6 @@ type fleetHost struct {
 	probeCG  *cgroup.Node
 	prot     *workload.Replayer
 	bulk     *workload.Replayer
-	// epoch invalidates straggler probe callbacks from earlier ticks:
-	// they may still complete, but must not issue chunks or consume
-	// draws once their tick has settled.
-	epoch int
 }
 
 // maxRetiredMachines bounds the retired-machine free list. Each worker
@@ -222,60 +219,6 @@ func (h *fleetHost) retarget(p float64, tick int) {
 	h.bulk.Start()
 }
 
-// probeState tracks one in-flight probe operation.
-type probeState struct {
-	start     sim.Time
-	issued    int
-	completed int
-	done      bool
-	lat       sim.Time
-}
-
-// startProbe begins one scaled fleet operation in the probe cgroup.
-func (h *fleetHost) startProbe(p fleet.OpProbe, st *probeState, base int64, epoch int) {
-	eng := h.m.Eng
-	st.start = eng.Now()
-	var flags bio.Flags
-	if p.Sync {
-		flags = bio.Sync
-	}
-	var pump func()
-	onDone := func(*bio.Bio) {
-		st.completed++
-		if st.completed == p.Chunks {
-			st.done = true
-			st.lat = eng.Now() - st.start
-			return
-		}
-		pump()
-	}
-	pump = func() {
-		if h.epoch != epoch {
-			return
-		}
-		for st.issued-st.completed < p.Window && st.issued < p.Chunks {
-			op := bio.Write
-			if p.ReadHalf && st.issued >= p.Chunks/2 {
-				op = bio.Read
-			}
-			off := base + int64(st.issued)*p.Chunk
-			if p.RandomOff {
-				off = base + h.r.Int63n(1<<30)
-			}
-			st.issued++
-			b := h.m.Q.BioPool().Get()
-			b.Op = op
-			b.Flags = flags
-			b.Off = off
-			b.Size = p.Chunk
-			b.CG = h.probeCG
-			b.OnDone = onDone
-			h.m.Q.Submit(b)
-		}
-	}
-	pump()
-}
-
 // Tick runs one fleet tick: (re)build on migration flip, draw pressure,
 // retarget the workload mix, run the tick's probe operations inside the
 // virtual-time window, and settle each probe against the real op deadline.
@@ -283,8 +226,6 @@ func (h *fleetHost) Tick(env fleet.HostTickEnv, acc *fleet.Summary) fleet.HostTi
 	if h.m == nil || env.Migrated != h.migrated {
 		h.build(env.Migrated)
 	}
-	h.epoch++
-	epoch := h.epoch
 
 	p := fleet.DrawPressure(h.r)
 	h.retarget(p, env.Tick)
@@ -295,7 +236,7 @@ func (h *fleetHost) Tick(env fleet.HostTickEnv, acc *fleet.Summary) fleet.HostTi
 	probe := h.spec.Kind.Probe(probeScale)
 	ops := h.spec.OpsPerHostTick
 	window := h.spec.Window
-	states := make([]probeState, ops)
+	states := make([]fleet.OpState, ops)
 	start := eng.Now()
 	spacing := window / sim.Time(ops)
 	probeSpan := int64(probe.Chunks) * probe.Chunk
@@ -306,21 +247,21 @@ func (h *fleetHost) Tick(env fleet.HostTickEnv, acc *fleet.Summary) fleet.HostTi
 		st := &states[i]
 		base := probeRegion + int64(i)*probeSpan
 		eng.At(start+sim.Time(i)*spacing, func() {
-			h.startProbe(probe, st, base, epoch)
+			probe.Start(h.m.Q, h.probeCG, base, h.r, st)
 		})
 	}
 	eng.RunUntil(start + window)
 
 	// Grace: wait out probes up to 3x their scaled deadline. A probe still
-	// running then is recorded at that 3x timeout, the same value
-	// fleet.RunOp records for an unfinished operation. Unlike RunOp the
-	// window cannot end at the deadline: push and storm factors rescale
-	// the measured latency before it is judged.
+	// running then is recorded at that 3x timeout, the same value a curve
+	// cell (fleet.RunOp) records for an unfinished operation. Unlike a
+	// cell the window cannot end at the deadline: push and storm factors
+	// rescale the measured latency before it is judged.
 	graceEnd := start + window + 3*probe.Deadline
 	for eng.Now() < graceEnd {
 		done := true
 		for i := range states {
-			if !states[i].done {
+			if !states[i].Done {
 				done = false
 				break
 			}
@@ -340,9 +281,12 @@ func (h *fleetHost) Tick(env fleet.HostTickEnv, acc *fleet.Summary) fleet.HostTi
 	healthyFails, stormFails := 0, 0
 	for i := range states {
 		st := &states[i]
+		// A straggler still completes, but issues no further chunk and
+		// takes no further draw from h.r.
+		st.Stop()
 		measured := 3 * probe.Deadline
-		if st.done && st.lat < measured {
-			measured = st.lat
+		if st.Done && st.Lat < measured {
+			measured = st.Lat
 		}
 		lat := float64(measured) * float64(probe.Scale)
 		if env.Pushed {

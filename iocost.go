@@ -33,14 +33,12 @@ import (
 	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/exp"
 	"github.com/iocost-sim/iocost/internal/fault"
-	"github.com/iocost-sim/iocost/internal/fleet"
 	"github.com/iocost-sim/iocost/internal/flight"
 	"github.com/iocost-sim/iocost/internal/mem"
 	"github.com/iocost-sim/iocost/internal/metrics"
 	"github.com/iocost-sim/iocost/internal/profiler"
 	"github.com/iocost-sim/iocost/internal/rcb"
 	"github.com/iocost-sim/iocost/internal/registry"
-	"github.com/iocost-sim/iocost/internal/scenario"
 	"github.com/iocost-sim/iocost/internal/sim"
 	"github.com/iocost-sim/iocost/internal/slo"
 	"github.com/iocost-sim/iocost/internal/span"
@@ -517,38 +515,4 @@ var (
 	IncidentFromTrace  = flight.BundleFromTrace
 	NewSLOEvaluator    = slo.NewEvaluator
 	DefaultSLORules    = slo.DefaultRules
-)
-
-// Fleet simulation: a sharded datacenter of hosts whose merged summary is
-// byte-identical at every worker count. FleetFidelity selects the per-host
-// model — the outcome model (curves), or real simulated machines on every
-// host or a seed-drawn subset; wire NewFleetHost as the machine factory.
-type (
-	// FleetConfig configures RunFleet. See fleet.ClusterConfig.
-	FleetConfig = fleet.ClusterConfig
-	// FleetSummary is the bounded merged result of a fleet run.
-	FleetSummary = fleet.Summary
-	// FleetFidelity is the host-model selection block of FleetConfig.
-	FleetFidelity = fleet.Fidelity
-	// FleetHostModel is what runs on one host for one tick.
-	FleetHostModel = fleet.HostModel
-	// FleetHostSpec identifies one host to a machine factory.
-	FleetHostSpec = fleet.HostSpec
-)
-
-// Fleet fidelity modes: canned outcome curves, a seed-drawn sampled subset
-// of full machines, or full machines on every host.
-const (
-	FleetFidelityOutcome = fleet.FidelityOutcome
-	FleetFidelitySampled = fleet.FidelitySampled
-	FleetFidelityFull    = fleet.FidelityFull
-)
-
-// RunFleet simulates the cluster; NewFleetHost is the full-fidelity
-// machine factory for FleetFidelity.Machine; ParseFleetFidelity resolves
-// a -fidelity style mode name.
-var (
-	RunFleet           = fleet.RunCluster
-	NewFleetHost       = scenario.NewFleetHost
-	ParseFleetFidelity = fleet.ParseFidelityMode
 )

@@ -44,6 +44,12 @@ echo "== go test -tags sanitizer (sim, device, bio, blk, core, ctl, check)"
 # completion.
 go test -tags sanitizer ./internal/sim ./internal/device ./internal/bio ./internal/blk ./internal/core ./internal/ctl ./internal/check
 
+echo "== go test -tags sanitizer (Figs 18/19 curve grids)"
+# The failure-curve cells run on exp.Machine, which wraps the controller
+# with the invariant checker under this tag: both 3-trial grids, io.latency
+# and iocost hosts, starving backlogs included.
+go test -tags sanitizer ./internal/exp -run 'TestRunOpPinned|TestMeasuredFleetCurvesPinned'
+
 echo "== bio.Pool.Get inlines"
 # Every submission calls Get; a Get that stops inlining costs the null
 # stack a few percent of its throughput.
