@@ -177,12 +177,16 @@ type lateState struct {
 // New builds a queue over dev controlled by ctl. tags <= 0 selects
 // DefaultTags.
 func New(eng *sim.Engine, dev device.Device, ctl Controller, tags int) *Queue {
-	return NewWithPool(eng, dev, ctl, tags, bio.NewPool())
+	return NewWithPool(eng, dev, ctl, tags, bio.NewPool(), nil, nil)
 }
 
 // NewWithPool is New drawing the queue's bios from pool, which a retired
 // queue on the same engine may have used before (see bio.Pool.Reclaim).
-func NewWithPool(eng *sim.Engine, dev device.Device, ctl Controller, tags int, pool *bio.Pool) *Queue {
+// readLat and writeLat, when non-nil, are a retired queue's ReadLat and
+// WriteLat: they are reset and become the new queue's, so a rebuilt
+// queue allocates no sketch. Nil ones are allocated.
+func NewWithPool(eng *sim.Engine, dev device.Device, ctl Controller, tags int, pool *bio.Pool,
+	readLat, writeLat *stats.Histogram) *Queue {
 	if tags <= 0 {
 		tags = DefaultTags
 	}
@@ -191,8 +195,8 @@ func NewWithPool(eng *sim.Engine, dev device.Device, ctl Controller, tags int, p
 		dev:      dev,
 		ctl:      ctl,
 		tags:     tags,
-		ReadLat:  stats.NewHistogram(),
-		WriteLat: stats.NewHistogram(),
+		ReadLat:  recycledHistogram(readLat),
+		WriteLat: recycledHistogram(writeLat),
 		pool:     pool,
 	}
 	q.completeFn = q.complete
@@ -204,6 +208,15 @@ func NewWithPool(eng *sim.Engine, dev device.Device, ctl Controller, tags int, p
 	}
 	ctl.Attach(q)
 	return q
+}
+
+// recycledHistogram returns h reset, or a new histogram when h is nil.
+func recycledHistogram(h *stats.Histogram) *stats.Histogram {
+	if h == nil {
+		return stats.NewHistogram()
+	}
+	h.Reset()
+	return h
 }
 
 // BioPool returns the queue's bio free list. Workloads allocate their

@@ -72,39 +72,40 @@ func (c DeviceChoice) New(eng *sim.Engine, seed uint64) device.Device {
 	panic("exp: DeviceChoice.New on empty choice")
 }
 
-// deviceCatalog maps every named device model to its choice: the three
-// evaluation SSDs, the spinning disk, the null device, the Figure 3 fleet
-// SSDs A–H, and the cloud volumes. This is the single vocabulary behind
-// every -device flag; the per-cmd switch blocks it replaced are gone.
-func deviceCatalog() map[string]DeviceChoice {
-	m := map[string]DeviceChoice{
-		"older-gen":  ssdChoice(device.OlderGenSSD()),
-		"newer-gen":  ssdChoice(device.NewerGenSSD()),
-		"enterprise": ssdChoice(device.EnterpriseSSD()),
-		"null":       ssdChoice(device.NullSSD()),
-	}
-	hdd := device.EvalHDD()
-	m["hdd"] = DeviceChoice{HDD: &hdd}
-	for _, n := range device.FleetSSDNames() {
-		spec, err := device.FleetSSDSpec(n)
-		if err != nil {
-			panic(err)
-		}
-		m[n] = ssdChoice(spec)
-	}
-	remote := func(spec device.RemoteSpec) DeviceChoice { return DeviceChoice{Remote: &spec} }
-	m["ebs-gp3"] = remote(device.EBSgp3())
-	m["ebs-io2"] = remote(device.EBSio2())
-	m["gcp-balanced"] = remote(device.GCPBalanced())
-	m["gcp-ssd"] = remote(device.GCPSSD())
-	return m
+// deviceCatalog names every device model beside the Figure 3 fleet SSDs
+// A–H, which device.FleetSSDSpec resolves: the three evaluation SSDs, the
+// spinning disk, the null device and the cloud volumes. With the fleet
+// SSDs it is the single vocabulary behind every -device flag; the per-cmd
+// switch blocks it replaced are gone. Each entry builds its spec only when
+// its name is looked up.
+var deviceCatalog = []struct {
+	name   string
+	choice func() DeviceChoice
+}{
+	{"older-gen", func() DeviceChoice { return ssdChoice(device.OlderGenSSD()) }},
+	{"newer-gen", func() DeviceChoice { return ssdChoice(device.NewerGenSSD()) }},
+	{"enterprise", func() DeviceChoice { return ssdChoice(device.EnterpriseSSD()) }},
+	{"null", func() DeviceChoice { return ssdChoice(device.NullSSD()) }},
+	{"hdd", func() DeviceChoice { hdd := device.EvalHDD(); return DeviceChoice{HDD: &hdd} }},
+	{"ebs-gp3", func() DeviceChoice { return remoteChoice(device.EBSgp3()) }},
+	{"ebs-io2", func() DeviceChoice { return remoteChoice(device.EBSio2()) }},
+	{"gcp-balanced", func() DeviceChoice { return remoteChoice(device.GCPBalanced()) }},
+	{"gcp-ssd", func() DeviceChoice { return remoteChoice(device.GCPSSD()) }},
 }
 
+func remoteChoice(spec device.RemoteSpec) DeviceChoice { return DeviceChoice{Remote: &spec} }
+
 // ParseDevice resolves a device model name (see DeviceNames) to its
-// DeviceChoice. Unknown names return an error listing the vocabulary.
+// DeviceChoice, building only that model's spec: every call returns specs
+// of its own. Unknown names return an error listing the vocabulary.
 func ParseDevice(name string) (DeviceChoice, error) {
-	if c, ok := deviceCatalog()[name]; ok {
-		return c, nil
+	for _, d := range deviceCatalog {
+		if d.name == name {
+			return d.choice(), nil
+		}
+	}
+	if spec, err := device.FleetSSDSpec(name); err == nil {
+		return ssdChoice(spec), nil
 	}
 	return DeviceChoice{}, fmt.Errorf("exp: unknown device %q (have: %s)",
 		name, strings.Join(DeviceNames(), ", "))
@@ -112,10 +113,9 @@ func ParseDevice(name string) (DeviceChoice, error) {
 
 // DeviceNames lists every name ParseDevice accepts, sorted.
 func DeviceNames() []string {
-	cat := deviceCatalog()
-	names := make([]string, 0, len(cat))
-	for n := range cat {
-		names = append(names, n)
+	names := device.FleetSSDNames()
+	for _, d := range deviceCatalog {
+		names = append(names, d.name)
 	}
 	sort.Strings(names)
 	return names

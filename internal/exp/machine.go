@@ -23,6 +23,7 @@ import (
 	"github.com/iocost-sim/iocost/internal/registry"
 	"github.com/iocost-sim/iocost/internal/rng"
 	"github.com/iocost-sim/iocost/internal/sim"
+	"github.com/iocost-sim/iocost/internal/stats"
 	"github.com/iocost-sim/iocost/internal/trace"
 )
 
@@ -187,8 +188,10 @@ type Machine struct {
 	HostCritical *cgroup.Node
 	Workload     *cgroup.Node
 
-	// pool is the queue's bio pool; it and Eng are all Retire keeps.
+	// pool is the queue's bio pool; it, Eng and the queue's latency
+	// sketches (lat, for the next build's queue) are all Retire keeps.
 	pool *bio.Pool
+	lat  [2]*stats.Histogram
 	// ownEng says NewMachine built Eng, so Retire may reset it.
 	ownEng bool
 }
@@ -262,14 +265,20 @@ func (m *Machine) Retire() error {
 	}
 	m.Eng.Reset()
 	m.pool.Reclaim()
-	*m = Machine{Eng: m.Eng, pool: m.pool, ownEng: true}
+	lat := m.lat
+	if m.Q != nil {
+		lat = [2]*stats.Histogram{m.Q.ReadLat, m.Q.WriteLat}
+	}
+	*m = Machine{Eng: m.Eng, pool: m.pool, lat: lat, ownEng: true}
 	return nil
 }
 
 // Reset rebuilds m in place as NewMachine(cfg) would build it: it retires
 // m, then runs the build NewMachine runs on the kept engine and pool. A
 // reset machine runs exactly as a fresh one does while skipping the
-// engine's wheel and the pool's bios, most of a build's allocation.
+// engine's wheel and the pool's bios, most of a build's allocation. The
+// new queue takes over the old one's ReadLat and WriteLat, emptied, so
+// they must not be read through the old queue after a Reset.
 //
 // Reset has Retire's conditions, and cfg.Engine must be nil or m.Eng
 // itself. A configuration error leaves m untouched; any later error leaves
@@ -333,7 +342,7 @@ func (m *Machine) build(cfg MachineConfig) error {
 		qctl = check.Wrap(m.Ctl, check.Options{Hier: m.Hier, DeepEvery: 64})
 	}
 
-	m.Q = blk.NewWithPool(eng, m.Dev, qctl, cfg.Tags, m.pool)
+	m.Q = blk.NewWithPool(eng, m.Dev, qctl, cfg.Tags, m.pool, m.lat[0], m.lat[1])
 	switch {
 	case cfg.Retry != nil:
 		m.Q.SetRetryPolicy(*cfg.Retry)

@@ -160,21 +160,33 @@ func TestMachineResetRejectsForeignEngine(t *testing.T) {
 	}
 }
 
+// leafObserver is a queue observer with no pointers: a leaf that stays
+// reachable exactly as long as the queue it observes. It is too big for
+// the tiny allocator, whose shared blocks can keep a finalizer from ever
+// running.
+type leafObserver struct{ _ [64]byte }
+
+func (*leafObserver) OnSubmit(*bio.Bio)   {}
+func (*leafObserver) OnIssue(*bio.Bio)    {}
+func (*leafObserver) OnDispatch(*bio.Bio) {}
+func (*leafObserver) OnComplete(*bio.Bio) {}
+
 // TestMachineResetCollectsRetired is the leak pin: the engine's event
-// blocks and the bio pool outlive every Reset, so a pending event or a
-// pooled bio still pointing into the old stack would keep each retired
-// machine reachable. Finalizers go on leaves (an object in a reference
-// cycle, like a controller and the queue it is attached to, is never
-// finalized): the retired queue's latency histogram, reachable as long as
-// the queue, its controller or its device is, and each replayer's stats,
-// reachable as long as a pending arrival or an in-flight bio is. The last
-// cycle retires without rebuilding.
+// blocks, the bio pool and the queue's latency sketches outlive every
+// Reset, so a pending event or a pooled bio still pointing into the old
+// stack would keep each retired machine reachable. Finalizers go on
+// leaves (an object in a reference cycle, like a controller and the queue
+// it is attached to, is never finalized): an observer of the retired
+// queue, reachable as long as the queue, its controller or its device is,
+// and each replayer's stats, reachable as long as a pending arrival or an
+// in-flight bio is. The last cycle retires without rebuilding.
 func TestMachineResetCollectsRetired(t *testing.T) {
 	const cycles = 8
 	cfg := MachineConfig{Device: ssdChoice(device.OlderGenSSD()), Controller: KindIOCost, Seed: 5}
 	m := MustNewMachine(cfg)
 	var collected atomic.Int32
 	count := func(*stats.Histogram) { collected.Add(1) }
+	countObs := func(*leafObserver) { collected.Add(1) }
 	for i := 0; i < cycles; i++ {
 		w := workload.NewReplayer(m.Q, m.Workload.NewChild("w", 100), workload.DemandProfile{
 			ReadBps: 500e6, WriteBps: 100e6, ReadRandFrac: 0.5,
@@ -184,7 +196,9 @@ func TestMachineResetCollectsRetired(t *testing.T) {
 		if m.Q.InFlight() == 0 || m.Eng.Pending() == 0 {
 			t.Fatal("nothing in flight to retire")
 		}
-		runtime.SetFinalizer(m.Q.ReadLat, count)
+		obs := new(leafObserver)
+		m.Q.AddObserver(obs)
+		runtime.SetFinalizer(obs, countObs)
 		runtime.SetFinalizer(w.ReadStats.Latency, count)
 		// The last cycle only retires the machine, as a fleet host does
 		// before listing it for reuse: that alone must let go of the run.

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -159,5 +161,42 @@ func TestIdealParamsMatchProfiledDevice(t *testing.T) {
 	want := 1e9 / ideal.RRandIOPS
 	if got < want*0.999 || got > want*1.001 {
 		t.Errorf("cost = %v, want %v", got, want)
+	}
+}
+
+// TestParseDeviceReturnsOwnSpecs: every name DeviceNames lists parses to a
+// choice of its own. Changing a returned spec leaves the next call's
+// untouched, so a caller may tweak what it parsed.
+func TestParseDeviceReturnsOwnSpecs(t *testing.T) {
+	names := DeviceNames()
+	if len(names) != 17 || !sort.StringsAreSorted(names) {
+		t.Fatalf("DeviceNames() = %v, want the 17 device models, sorted", names)
+	}
+	for _, name := range names {
+		a, err := ParseDevice(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("%+v", a.Spec())
+		switch a.Kind() {
+		case DeviceSSD:
+			a.SSD.Name, a.SSD.Parallelism = "changed", a.SSD.Parallelism+1
+		case DeviceHDD:
+			a.HDD.Name = "changed"
+		case DeviceRemote:
+			a.Remote.Name = "changed"
+		default:
+			t.Fatalf("%s: empty choice", name)
+		}
+		b, err := ParseDevice(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%+v", b.Spec()); got != want {
+			t.Errorf("%s after changing an earlier result: %s, want %s", name, got, want)
+		}
+	}
+	if _, err := ParseDevice("no-such-device"); err == nil || !strings.Contains(err.Error(), "older-gen") {
+		t.Errorf("unknown device: error %v, want one listing the vocabulary", err)
 	}
 }

@@ -75,8 +75,19 @@ func specFor(kind OpKind) opSpec {
 	}
 }
 
-// OpState tracks one operation that OpProbe.Start began.
+// OpState tracks one operation that OpProbe.Start began. A state may be
+// reused for one operation after another: OpProbe.Start resets it, and a
+// chunk of the operation it ran before that completes late is ignored.
+// Its chunks call back into the state, so a started state must not be
+// copied.
 type OpState struct {
+	p      OpProbe
+	q      *blk.Queue
+	cg     *cgroup.Node
+	base   int64
+	rnd    *rng.Source
+	onDone func(*bio.Bio) // st.complete, built once per state
+
 	start     sim.Time
 	issued    int
 	completed int
@@ -98,47 +109,60 @@ func (st *OpState) Stop() { st.stopped = true }
 // records its progress in st. It is the only code that submits a fleet
 // operation's chunks.
 func (p OpProbe) Start(q *blk.Queue, cg *cgroup.Node, base int64, rnd *rng.Source, st *OpState) {
-	eng := q.Engine()
-	st.start = eng.Now()
+	onDone := st.onDone
+	if onDone == nil {
+		onDone = st.complete
+	}
+	*st = OpState{p: p, q: q, cg: cg, base: base, rnd: rnd, onDone: onDone, start: q.Now()}
+	st.pump()
+}
+
+// complete is every chunk's completion callback. A chunk submitted before
+// st's start belongs to the operation st ran before, which is over. Like
+// Stats' floor in the workload package, this holds while the queue
+// retries no chunk across the restart: a retry resubmits the chunk.
+func (st *OpState) complete(b *bio.Bio) {
+	if b.Submitted < st.start {
+		return
+	}
+	st.completed++
+	if st.completed == st.p.Chunks {
+		st.Done = true
+		st.Lat = st.q.Now() - st.start
+		return
+	}
+	st.pump()
+}
+
+// pump issues chunks until p.Window are in flight or all are issued.
+func (st *OpState) pump() {
+	if st.stopped {
+		return
+	}
+	p, q := &st.p, st.q
 	var flags bio.Flags
 	if p.Sync {
 		flags = bio.Sync
 	}
-	var pump func()
-	onDone := func(*bio.Bio) {
-		st.completed++
-		if st.completed == p.Chunks {
-			st.Done = true
-			st.Lat = eng.Now() - st.start
-			return
+	for st.issued-st.completed < p.Window && st.issued < p.Chunks {
+		op := bio.Write
+		if p.ReadHalf && st.issued >= p.Chunks/2 {
+			op = bio.Read // the fetch's verification pass
 		}
-		pump()
+		off := st.base + int64(st.issued)*p.Chunk
+		if p.RandomOff {
+			off = st.base + st.rnd.Int63n(1<<30)
+		}
+		st.issued++
+		b := q.BioPool().Get()
+		b.Op = op
+		b.Flags = flags
+		b.Off = off
+		b.Size = p.Chunk
+		b.CG = st.cg
+		b.OnDone = st.onDone
+		q.Submit(b)
 	}
-	pump = func() {
-		if st.stopped {
-			return
-		}
-		for st.issued-st.completed < p.Window && st.issued < p.Chunks {
-			op := bio.Write
-			if p.ReadHalf && st.issued >= p.Chunks/2 {
-				op = bio.Read // the fetch's verification pass
-			}
-			off := base + int64(st.issued)*p.Chunk
-			if p.RandomOff {
-				off = base + rnd.Int63n(1<<30)
-			}
-			st.issued++
-			b := q.BioPool().Get()
-			b.Op = op
-			b.Flags = flags
-			b.Off = off
-			b.Size = p.Chunk
-			b.CG = cg
-			b.OnDone = onDone
-			q.Submit(b)
-		}
-	}
-	pump()
 }
 
 // runStep is the engine step while RunOp waits for the operation to finish

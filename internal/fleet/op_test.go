@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/iocost-sim/iocost/internal/bio"
@@ -16,7 +17,7 @@ import (
 // must be fresh or reset, drawing its bios from pool.
 func PassthroughHost(eng *sim.Engine, pool *bio.Pool, seed uint64) Host {
 	dev := device.NewSSD(eng, device.OlderGenSSD(), seed)
-	q := blk.NewWithPool(eng, dev, ctl.NewNone(), 0, pool)
+	q := blk.NewWithPool(eng, dev, ctl.NewNone(), 0, pool, nil, nil)
 	h := cgroup.NewHierarchy()
 	return Host{
 		Q:            q,
@@ -62,5 +63,46 @@ func TestStoppedOpIssuesNothing(t *testing.T) {
 	}
 	if st.Done {
 		t.Error("stopped op finished")
+	}
+}
+
+// TestReusedOpStateIgnoresLateChunks: an OpState restarted while the
+// chunks of its stopped operation are still in flight measures the new
+// operation exactly as a fresh state does: the late chunks count neither
+// as the new operation's completions nor as room in its window.
+func TestReusedOpStateIgnoresLateChunks(t *testing.T) {
+	p := ContainerCleanup.Probe(24)
+	run := func(reuse bool) (got string, late int) {
+		eng := sim.New()
+		h := PassthroughHost(eng, bio.NewPool(), 7)
+		rnd := rng.New(9)
+		var first, second OpState
+		p.Start(h.Q, h.HostCritical, 1<<41, rnd, &first)
+		for first.completed == 0 {
+			if !eng.Step() {
+				t.Fatal("engine ran dry before the first chunk completed")
+			}
+		}
+		first.Stop()
+		late = first.issued - first.completed
+		eng.RunUntil(eng.Now() + 1)
+		st := &second
+		if reuse {
+			st = &first
+		}
+		p.Start(h.Q, h.HostCritical, 1<<42, rnd, st)
+		eng.RunUntil(eng.Now() + 3*p.Deadline)
+		if !st.Done {
+			t.Fatalf("reuse=%v: the second operation did not finish", reuse)
+		}
+		return fmt.Sprintf("lat=%v issued=%d completed=%d", st.Lat, st.issued, st.completed), late
+	}
+	got, late := run(true)
+	want, _ := run(false)
+	if late == 0 {
+		t.Fatal("no chunk of the first operation was in flight at the restart")
+	}
+	if got != want {
+		t.Errorf("reused state: %s; fresh state: %s (%d late chunks)", got, want, late)
 	}
 }

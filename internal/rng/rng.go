@@ -40,10 +40,10 @@ func (r *Source) Reseed(seed uint64) {
 	}
 }
 
-// Split derives a new independent Source from r. It consumes two values from
-// r, so siblings derived in sequence differ.
-func (r *Source) Split() *Source {
-	return New(r.Uint64() ^ (r.Uint64() << 1))
+// Split reseeds dst as a new independent stream derived from r. It
+// consumes two values from r, so siblings derived in sequence differ.
+func (r *Source) Split(dst *Source) {
+	dst.Reseed(r.Uint64() ^ (r.Uint64() << 1))
 }
 
 // Derive returns the Source for one named component of a larger seeded

@@ -30,8 +30,9 @@ func TestSeedsProduceDistinctStreams(t *testing.T) {
 
 func TestSplitIndependence(t *testing.T) {
 	parent := New(7)
-	c1 := parent.Split()
-	c2 := parent.Split()
+	var c1, c2 Source
+	parent.Split(&c1)
+	parent.Split(&c2)
 	same := 0
 	for i := 0; i < 100; i++ {
 		if c1.Uint64() == c2.Uint64() {

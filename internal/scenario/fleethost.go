@@ -88,6 +88,7 @@ func NewFleetHost(spec fleet.HostSpec) fleet.HostModel {
 	h.dev = exp.FleetHostDevice(h.r)
 	h.legacyCtl = exp.FleetHostController(h.r)
 	h.protProf, h.bulkProf = workload.FleetHostMix(h.r)
+	h.probe = spec.Kind.Probe(probeScale)
 	return h
 }
 
@@ -100,6 +101,7 @@ type fleetHost struct {
 	legacyCtl string
 	protProf  workload.DemandProfile
 	bulkProf  workload.DemandProfile
+	probe     fleet.OpProbe
 
 	m        *exp.Machine
 	migrated bool
@@ -107,8 +109,27 @@ type fleetHost struct {
 	protCG   *cgroup.Node
 	bulkCG   *cgroup.Node
 	probeCG  *cgroup.Node
-	prot     *workload.Replayer
-	bulk     *workload.Replayer
+	// prot and bulk are built on the first tick and reset on every later
+	// one; probes are the tick's probe operations, reused the same way.
+	prot   *workload.Replayer
+	bulk   *workload.Replayer
+	probes []hostProbe
+}
+
+// hostProbe is one probe operation of a host's tick: where its chunks
+// land and what it measured.
+type hostProbe struct {
+	h    *fleetHost
+	base int64
+	st   fleet.OpState
+}
+
+// startProbe starts a tick's probe operation at its slot in the window.
+// It is a package-level func so scheduling it stores no closure.
+func startProbe(a any) {
+	p := a.(*hostProbe)
+	h := p.h
+	h.probe.Start(h.m.Q, h.probeCG, p.base, h.r, &p.st)
 }
 
 // maxRetiredMachines bounds the retired-machine free list. Each worker
@@ -193,28 +214,29 @@ func (h *fleetHost) build(migrated bool) {
 	h.protCG = h.m.Workload.NewChild("protected", 800)
 	h.bulkCG = h.m.Workload.NewChild("besteffort", 100)
 	parent := h.m.HostCritical
-	if h.spec.Kind.Probe(probeScale).System {
+	if h.probe.System {
 		parent = h.m.System
 	}
 	h.probeCG = parent.NewChild("op", cgroup.DefaultWeight)
-	h.prot, h.bulk = nil, nil
 }
 
-// retarget replaces the replayers with ones matching this tick's pressure:
-// the protected service keeps its fixed profile, bulk absorbs the rest of
+// retarget restarts the replayers to match this tick's pressure: the
+// protected service keeps its fixed profile, bulk absorbs the rest of
 // p × device capability (what "pressure" means to the outcome model).
+// Reset replayers run, and count, exactly what fresh ones would.
 func (h *fleetHost) retarget(p float64, tick int) {
-	if h.prot != nil {
-		h.prot.Stop()
-		h.bulk.Stop()
-	}
 	bulk := h.bulkProf
 	bulk.ReadBps = max(p*readCapBps-h.protProf.ReadBps, 0)
 	bulk.WriteBps = max(p*writeCapBps-h.protProf.WriteBps, 0)
 	seed := rng.DeriveSeed(h.spec.Seed,
 		fleetHostBuildTag^mix64(uint64(h.spec.Host)+1)^mix64(uint64(tick)+0x7e11))
-	h.prot = workload.NewReplayer(h.m.Q, h.protCG, h.protProf, 0, seed)
-	h.bulk = workload.NewReplayer(h.m.Q, h.bulkCG, bulk, 16<<30, seed+1)
+	if h.prot == nil {
+		h.prot = workload.NewReplayer(h.m.Q, h.protCG, h.protProf, 0, seed)
+		h.bulk = workload.NewReplayer(h.m.Q, h.bulkCG, bulk, 16<<30, seed+1)
+	} else {
+		h.prot.Reset(h.m.Q, h.protCG, h.protProf, 0, seed)
+		h.bulk.Reset(h.m.Q, h.bulkCG, bulk, 16<<30, seed+1)
+	}
 	h.prot.Start()
 	h.bulk.Start()
 }
@@ -233,22 +255,23 @@ func (h *fleetHost) Tick(env fleet.HostTickEnv, acc *fleet.Summary) fleet.HostTi
 	eng := h.m.Eng
 	eng.RunUntil(eng.Now() + settleWindow)
 
-	probe := h.spec.Kind.Probe(probeScale)
+	probe := h.probe
 	ops := h.spec.OpsPerHostTick
 	window := h.spec.Window
-	states := make([]fleet.OpState, ops)
+	if h.probes == nil {
+		probeSpan := int64(probe.Chunks) * probe.Chunk
+		if probe.RandomOff {
+			probeSpan = 1 << 30
+		}
+		h.probes = make([]hostProbe, ops)
+		for i := range h.probes {
+			h.probes[i] = hostProbe{h: h, base: probeRegion + int64(i)*probeSpan}
+		}
+	}
 	start := eng.Now()
 	spacing := window / sim.Time(ops)
-	probeSpan := int64(probe.Chunks) * probe.Chunk
-	if probe.RandomOff {
-		probeSpan = 1 << 30
-	}
-	for i := 0; i < ops; i++ {
-		st := &states[i]
-		base := probeRegion + int64(i)*probeSpan
-		eng.At(start+sim.Time(i)*spacing, func() {
-			probe.Start(h.m.Q, h.probeCG, base, h.r, st)
-		})
+	for i := range h.probes {
+		eng.AtCall(start+sim.Time(i)*spacing, startProbe, &h.probes[i])
 	}
 	eng.RunUntil(start + window)
 
@@ -260,8 +283,8 @@ func (h *fleetHost) Tick(env fleet.HostTickEnv, acc *fleet.Summary) fleet.HostTi
 	graceEnd := start + window + 3*probe.Deadline
 	for eng.Now() < graceEnd {
 		done := true
-		for i := range states {
-			if !states[i].Done {
+		for i := range h.probes {
+			if !h.probes[i].st.Done {
 				done = false
 				break
 			}
@@ -279,8 +302,8 @@ func (h *fleetHost) Tick(env fleet.HostTickEnv, acc *fleet.Summary) fleet.HostTi
 	deadline := h.spec.Kind.Deadline()
 	timeoutNS := int64(3 * deadline)
 	healthyFails, stormFails := 0, 0
-	for i := range states {
-		st := &states[i]
+	for i := range h.probes {
+		st := &h.probes[i].st
 		// A straggler still completes, but issues no further chunk and
 		// takes no further draw from h.r.
 		st.Stop()
@@ -319,8 +342,8 @@ func (h *fleetHost) Tick(env fleet.HostTickEnv, acc *fleet.Summary) fleet.HostTi
 	}
 
 	// Per-workload calibration: what the protected and best-effort
-	// replayers saw this tick (fresh replayers per tick, so the sketches
-	// pool tick windows without double counting).
+	// replayers saw this tick (their stats restart at every retarget, so
+	// the sketches pool tick windows without double counting).
 	if acc.Calib != nil {
 		acc.Calib.Protected.Merge(h.prot.ReadStats.Latency)
 		acc.Calib.BestEffort.Merge(h.bulk.ReadStats.Latency)
@@ -329,7 +352,7 @@ func (h *fleetHost) Tick(env fleet.HostTickEnv, acc *fleet.Summary) fleet.HostTi
 	// After its last tick the host hands its machine on.
 	if env.Tick == h.spec.Ticks-1 {
 		retire(h.m)
-		h.m, h.prot, h.bulk = nil, nil, nil
+		h.m, h.prot, h.bulk, h.probes = nil, nil, nil, nil
 	}
 
 	return fleet.HostTickResult{

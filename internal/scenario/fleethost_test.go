@@ -1,12 +1,15 @@
 package scenario
 
 import (
+	"runtime"
 	"testing"
 
+	"github.com/iocost-sim/iocost/internal/check"
 	"github.com/iocost-sim/iocost/internal/device"
 	"github.com/iocost-sim/iocost/internal/exp"
 	"github.com/iocost-sim/iocost/internal/fleet"
 	"github.com/iocost-sim/iocost/internal/sim"
+	"github.com/iocost-sim/iocost/internal/stats"
 	"github.com/iocost-sim/iocost/internal/workload"
 )
 
@@ -98,5 +101,46 @@ func TestFleetHostsReuseRetiredMachines(t *testing.T) {
 	}
 	if n := len(takeRetired()); n != maxRetiredMachines {
 		t.Errorf("free list holds %d machines, want its bound %d", n, maxRetiredMachines)
+	}
+}
+
+// TestWarmFleetHostTickAllocatesLittle is the allocation pin of a full
+// host's tick: once a host has run a few ticks, a tick reuses its
+// replayers, their stats, its probe states and its machine, so it
+// allocates nothing but bio-pool growth. Each bio the pool adds is
+// allowed 160 B: its 128 B plus the slab's size-class rounding and the
+// slab list's growth.
+func TestWarmFleetHostTickAllocatesLittle(t *testing.T) {
+	if check.Enabled {
+		t.Skip("the sanitizer wrapper allocates its own bookkeeping per bio")
+	}
+	const warm, measured = 3, 8
+	h := NewFleetHost(fleet.HostSpec{
+		Seed: 0x5eed, Host: 3, Kind: fleet.ContainerCleanup,
+		Ticks: warm + measured + 1, TickDur: sim.Second,
+		OpsPerHostTick: 20, Window: 250 * sim.Millisecond,
+	}).(*fleetHost)
+	acc := &fleet.Summary{Latency: stats.NewHistogram()}
+	tick := 0
+	run := func() {
+		h.Tick(fleet.HostTickEnv{Tick: tick, StormLatMult: 1}, acc)
+		tick++
+	}
+	for tick < warm {
+		run()
+	}
+	bios := h.m.Q.BioPool().Allocated()
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	for tick < warm+measured {
+		run()
+	}
+	runtime.ReadMemStats(&b)
+	grown := int64(h.m.Q.BioPool().Allocated() - bios)
+	total := int64(b.TotalAlloc - a.TotalAlloc)
+	perTick := (total - 160*grown) / measured
+	t.Logf("%d ticks allocated %d B with %d new bios: %d B per tick beside them", measured, total, grown, perTick)
+	if perTick > 2048 {
+		t.Errorf("a warm full host's tick allocates %d B beside bio-pool growth, want at most 2 KB", perTick)
 	}
 }

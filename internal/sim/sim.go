@@ -42,6 +42,10 @@ type EventID struct {
 	gen uint32
 }
 
+// Pending reports whether id's event is still scheduled: it has not run,
+// been cancelled, or been released by Engine.Reset.
+func (id EventID) Pending() bool { return id.e != nil && id.e.gen == id.gen }
+
 // Engine is the discrete-event simulator. The zero value is not usable; use
 // New.
 type Engine struct {
@@ -68,8 +72,9 @@ type Engine struct {
 
 	// tHi caches the earliest occupied slot base across levels 1+ (an
 	// absolute time, so it stays valid as the cursor moves within its
-	// current slots); hiDirty forces recomputation after any
-	// higher-level mutation. See popNext.
+	// current slots). A push keeps it exact; hiDirty forces recomputation
+	// after a higher-level slot empties (unlink or cascade) or a Reset.
+	// See popNext.
 	tHi     Time
 	hiDirty bool
 }

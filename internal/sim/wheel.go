@@ -177,7 +177,9 @@ func (e *Engine) enqueue(ev *event) {
 func (e *Engine) pushSlot(l, idx int, ev *event) {
 	ev.level, ev.slotIdx = int8(l), uint16(idx)
 	if l != 0 {
-		e.hiDirty = true
+		// The slot's base is ev's time rounded down to the slot's
+		// granularity; tHi stays the minimum over occupied slots.
+		e.tHi = min(e.tHi, ev.at>>lvlShift[l]<<lvlShift[l])
 	}
 	s := e.slotAt(l, idx)
 	h := *s
@@ -210,11 +212,9 @@ func (e *Engine) pushSlot(l, idx int, ev *event) {
 	e.levelCount[l]++
 }
 
-// unlinkWheel removes a wheel-resident event from its slot.
+// unlinkWheel removes a wheel-resident event from its slot. Only emptying
+// a higher-level slot can raise tHi, so only that marks it dirty.
 func (e *Engine) unlinkWheel(ev *event) {
-	if ev.level != 0 {
-		e.hiDirty = true
-	}
 	s := e.slotAt(int(ev.level), int(ev.slotIdx))
 	h := *s
 	if ev == h {
@@ -222,6 +222,9 @@ func (e *Engine) unlinkWheel(ev *event) {
 		if nh == nil {
 			*s = nil
 			e.clearBit(int(ev.level), int(ev.slotIdx))
+			if ev.level != 0 {
+				e.hiDirty = true
+			}
 		} else {
 			nh.prev = ev.prev // inherit the tail link
 			*s = nh
@@ -391,10 +394,11 @@ func (e *Engine) popNext(limit Time) *event {
 			}
 		}
 
-		// Conservative earliest slot base across levels 1..numLevels-1.
-		// The base is an absolute time, so the cached value stays valid
-		// while the cursor moves within its current slots; any
-		// higher-level mutation (push, unlink, cascade) marks it dirty.
+		// Earliest slot base across levels 1..numLevels-1. The base is an
+		// absolute time, so the cached value stays valid while the cursor
+		// moves within its current slots. A push lowers it in place;
+		// emptying a slot by unlink or cascade, and Reset, mark it dirty
+		// for this rescan.
 		if e.hiDirty {
 			tHi := maxTime
 			for l := 1; l < numLevels; l++ {

@@ -74,6 +74,55 @@ func TestReplayerPinned(t *testing.T) {
 	}
 }
 
+// TestReplayerResetMatchesFresh: a replayer reset under a deep backlog,
+// with bios of its earlier run still queued, submits and counts exactly
+// what a fresh replayer built at the reset instant does: the first reset
+// leaves thousands of bios queued, and the second epoch counts reads that
+// wait out their drain. The second epoch's write stream is so sparse (one 16 KiB write per 16 s) that its
+// arrival is still pending at the next reset, which must leave that
+// stream to its event.
+func TestReplayerResetMatchesFresh(t *testing.T) {
+	epochs := []workload.DemandProfile{
+		{ReadBps: 700e6, WriteBps: 100e6, ReadRandFrac: 0.8, WriteRandFrac: 0.3},
+		{ReadBps: 200e6, WriteBps: 1e3, ReadRandFrac: 0.5},
+		{ReadBps: 150e6, WriteBps: 80e6, ReadRandFrac: 0.2, WriteRandFrac: 0.9, IOSize: 64 << 10},
+	}
+	const epoch = 400 * sim.Millisecond
+	run := func(reset bool) (out []string, backlog int) {
+		eng, q, cg := newRig(t)
+		var w *workload.Replayer
+		for i, p := range epochs {
+			seed := uint64(40 + i)
+			switch {
+			case w == nil:
+				w = workload.NewReplayer(q, cg, p, 0, seed)
+			case reset:
+				w.Reset(q, cg, p, 0, seed)
+			default:
+				w.Stop()
+				w = workload.NewReplayer(q, cg, p, 0, seed)
+			}
+			if i == 1 {
+				backlog = q.Waiting()
+			}
+			w.Start()
+			eng.RunUntil(eng.Now() + epoch)
+			out = append(out, fmt.Sprintf("epoch %d: read %s; write %s", i, statsPin(w.ReadStats), statsPin(w.WriteStats)))
+		}
+		return append(out, fmt.Sprintf("events=%d", eng.EventsRun())), backlog
+	}
+	got, backlog := run(true)
+	want, _ := run(false)
+	if backlog < 1000 {
+		t.Fatalf("%d bios waiting at the first reset, want a deep backlog", backlog)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("reset replayer %s\nfresh replayer %s", got[i], want[i])
+		}
+	}
+}
+
 // TestTraceReplayerPinned pins a TraceReplayer's exact output, including a
 // time-scaled replay stopped before the trace ends.
 func TestTraceReplayerPinned(t *testing.T) {

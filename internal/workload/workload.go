@@ -21,10 +21,13 @@ type Stats struct {
 	Latency *stats.Histogram // submit-to-complete
 
 	window stats.Counter
+	// floor is the instant of the last reset: observeSince skips bios
+	// submitted at or before it. It is -1 before any reset.
+	floor sim.Time
 }
 
 func newStats() *Stats {
-	return &Stats{Latency: stats.NewHistogram()}
+	return &Stats{Latency: stats.NewHistogram(), floor: -1}
 }
 
 func (s *Stats) observe(b *bio.Bio) {
@@ -32,6 +35,22 @@ func (s *Stats) observe(b *bio.Bio) {
 	s.Bytes += uint64(b.Size)
 	s.Latency.Observe(int64(b.Latency()))
 	s.window.Inc(1)
+}
+
+// observeSince is observe for the completion callback of a workload that
+// resets its stats (Replayer.Reset): a bio submitted at or before the
+// floor belongs to the workload's run before the reset. Workloads that
+// never reset use observe and skip the check.
+func (s *Stats) observeSince(b *bio.Bio) {
+	if b.Submitted > s.floor {
+		s.observe(b)
+	}
+}
+
+// reset empties s and sets its floor to now.
+func (s *Stats) reset(now sim.Time) {
+	s.Latency.Reset()
+	*s = Stats{Latency: s.Latency, floor: now}
 }
 
 // TakeWindow returns completions since the last call, for rate sampling.

@@ -50,6 +50,14 @@ echo "== go test -tags sanitizer (Figs 18/19 curve grids)"
 # and iocost hosts, starving backlogs included.
 go test -tags sanitizer ./internal/exp -run 'TestRunOpPinned|TestMeasuredFleetCurvesPinned'
 
+echo "== go test -tags sanitizer -race (reused replayers, op states and machines)"
+# A full fleet host keeps its replayers, probe states and machine from
+# tick to tick and hands the machine on: these tests compare each reused
+# object with a fresh one, here with the invariant checker on the fleet
+# hosts' machines and the race detector over the fleet's workers.
+go test -tags sanitizer -race ./internal/workload ./internal/fleet ./internal/scenario ./internal/exp \
+	-run 'TestReplayerResetMatchesFresh|TestReusedOpStateIgnoresLateChunks|TestFleetHostsReuseRetiredMachines|TestMachineReset'
+
 echo "== bio.Pool.Get inlines"
 # Every submission calls Get; a Get that stops inlining costs the null
 # stack a few percent of its throughput.
