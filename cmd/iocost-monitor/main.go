@@ -57,6 +57,9 @@ func main() {
 		check(*checkFile)
 		return
 	}
+	if err := cli.Positive(flag.CommandLine, "seconds", "hi-weight", "lo-weight", "depth", "size"); err != nil {
+		cli.Fatalf(tool, "%v", err)
+	}
 
 	dev, err := iocost.ParseDevice(*devName)
 	if err != nil {

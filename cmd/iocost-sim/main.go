@@ -42,6 +42,9 @@ func main() {
 	faults := flag.String("faults", "", "inject device faults: a preset (storm, flaky, hang, gcstorm, capcollapse) or kind:at=2s,dur=3s,rate=0.01;... episodes")
 	flightDir := flag.String("flight", "", "arm the flight recorder and write incident bundles to this directory (inspect with iocost-trace bundle)")
 	cli.Parse(tool)
+	if err := cli.Positive(flag.CommandLine, "seconds", "hi-weight", "lo-weight", "depth", "size"); err != nil {
+		cli.Fatalf(tool, "%v", err)
+	}
 
 	dev, err := iocost.ParseDevice(*devName)
 	if err != nil {

@@ -29,8 +29,10 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"github.com/iocost-sim/iocost/internal/cli"
+	"github.com/iocost-sim/iocost/internal/ctl"
 	"github.com/iocost-sim/iocost/internal/fault"
 	"github.com/iocost-sim/iocost/internal/flight"
 	"github.com/iocost-sim/iocost/internal/simfuzz"
@@ -92,6 +94,9 @@ func capture(args []string) {
 	kind := fs.String("controller", "iocost", "controller to run the scenario under")
 	out := fs.String("o", "", "output file (default seed<N>-<controller>.trace)")
 	fs.Parse(args)
+	if !ctl.Known(*kind) {
+		fatal(fmt.Errorf("unknown controller %q (have: %s)", *kind, strings.Join(ctl.Names(), ", ")))
+	}
 
 	scn := simfuzz.Generate(*seed)
 	res, tr := simfuzz.Capture(scn, *kind)

@@ -1,6 +1,12 @@
 package iocost_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/iocost-sim/iocost"
@@ -58,5 +64,78 @@ func TestPublicAPIProfile(t *testing.T) {
 	}
 	if res.RandReadIOPS <= 0 {
 		t.Error("no measured IOPS")
+	}
+}
+
+// TestFacadeExportsHaveCallers keeps the facade lean: every name iocost.go
+// exports must be used as iocost.<Name> by an example, a command or a root
+// test file other than this one, or be named by the signature of an exported
+// function (SSD's DeviceChoice result, say).
+func TestFacadeExportsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "iocost.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []string
+	used := map[string]bool{}
+	for _, d := range facade.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			exported = append(exported, d.Name.Name)
+			ast.Inspect(d.Type, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					used[id.Name] = true
+				}
+				return true
+			})
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					exported = append(exported, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						exported = append(exported, id.Name)
+					}
+				}
+			}
+		}
+	}
+
+	callers, _ := filepath.Glob("*_test.go")
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, _ fs.DirEntry, err error) error {
+			if strings.HasSuffix(path, ".go") {
+				callers = append(callers, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range callers {
+		if path == "facade_test.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "iocost" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	for _, name := range exported {
+		if ast.IsExported(name) && !used[name] {
+			t.Errorf("iocost.%s has no caller in examples/, cmd/ or a root test; delete it", name)
+		}
 	}
 }

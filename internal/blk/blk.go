@@ -152,9 +152,8 @@ type Queue struct {
 	// on the bio itself (no per-dispatch map insert); timedOut tracks the
 	// bios the device still holds after their deadline fired (see
 	// lateState).
-	policy       RetryPolicy
-	timedOut     map[*bio.Bio]lateState
-	retryPending int
+	policy   RetryPolicy
+	timedOut map[*bio.Bio]lateState
 
 	errors          uint64
 	timeouts        uint64
@@ -202,7 +201,6 @@ func NewWithPool(eng *sim.Engine, dev device.Device, ctl Controller, tags int, p
 	q.completeFn = q.complete
 	q.retryFn = func(a any) {
 		b := a.(*bio.Bio)
-		q.retryPending--
 		b.Status = bio.StatusOK
 		q.Submit(b)
 	}
@@ -310,11 +308,6 @@ func (q *Queue) Failures() uint64 { return q.failures }
 // LateCompletions returns the number of device completions dropped because
 // the bio had already been timed out.
 func (q *Queue) LateCompletions() uint64 { return q.lateCompletions }
-
-// PendingRetries returns the number of failed bios currently waiting out
-// their backoff before resubmission — outstanding work the drain checks must
-// wait for.
-func (q *Queue) PendingRetries() int { return q.retryPending }
 
 // Completions returns the total number of completed bios.
 func (q *Queue) Completions() uint64 { return q.completions }
@@ -505,7 +498,6 @@ func (q *Queue) finish(b *bio.Bio) {
 		delay := q.policy.Backoff << uint(b.Retries)
 		b.Retries++
 		q.retries++
-		q.retryPending++
 		q.eng.AfterCall(delay, q.retryFn, b)
 		return
 	}

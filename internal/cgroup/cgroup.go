@@ -50,11 +50,6 @@ func NewHierarchy() *Hierarchy {
 	return h
 }
 
-// NodeCount returns the number of nodes ever created in the hierarchy
-// (removed nodes keep their IDs), i.e. one past the largest Node.ID. Fast
-// paths size their per-cgroup state slices from it.
-func (h *Hierarchy) NodeCount() int { return h.nextID }
-
 // Root returns the root node. The root is always active and its hweight is
 // always 1.
 func (h *Hierarchy) Root() *Node { return h.root }

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 )
 
 // Version is the toolchain version reported by every command's -version.
@@ -45,4 +46,16 @@ func PrintVersion(tool string) {
 func Fatalf(tool, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, tool+": "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// Positive reports the first of the named numeric flags of fs whose value
+// is not above zero (NaN included), as "-name must be positive, got v".
+func Positive(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		v := fs.Lookup(name).Value.String()
+		if f, err := strconv.ParseFloat(v, 64); err != nil || !(f > 0) {
+			return fmt.Errorf("-%s must be positive, got %s", name, v)
+		}
+	}
+	return nil
 }

@@ -150,8 +150,8 @@ type Controller struct {
 	sink EventSink
 
 	// lastPeriod is the most recent planning-path summary, kept for the
-	// monitoring surface (LastPeriod, RegisterMetrics) independently of
-	// the Config.OnPeriod callback.
+	// metrics registry (RegisterMetrics) independently of the
+	// Config.OnPeriod callback.
 	lastPeriod PeriodStats
 }
 

@@ -2,11 +2,6 @@ package core
 
 import "github.com/iocost-sim/iocost/internal/registry"
 
-// LastPeriod returns the most recent planning-path summary (zero before
-// the first period tick). Unlike Config.OnPeriod it needs no callback
-// wiring, which is what the metrics registry samples.
-func (c *Controller) LastPeriod() PeriodStats { return c.lastPeriod }
-
 // RegisterMetrics contributes the IOCost controller's state to a metrics
 // registry: the global vrate and planning-period summary, lifetime issue/
 // wait/debt counters, and a per-cgroup collector over the same state

@@ -124,9 +124,6 @@ func (d *engine) DoneBytes(op bio.Op) uint64 { return d.doneBytes[int(op)] }
 // QueueDepth returns the number of requests queued but not yet in service.
 func (d *engine) QueueDepth() int { return d.queues[0].Len() + d.queues[1].Len() }
 
-// Busy returns the number of requests currently in service.
-func (d *engine) Busy() int { return d.busy }
-
 // mergeScan bounds how far back the elevator looks for a merge candidate.
 const mergeScan = 64
 

@@ -199,6 +199,3 @@ func (d *SSD) BufferCredit() int64 {
 	d.refillBuffer()
 	return d.bufCredit
 }
-
-// GCStalls returns the lifetime count of garbage-collection stalls.
-func (d *SSD) GCStalls() uint64 { return d.gcStalls }

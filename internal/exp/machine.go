@@ -488,8 +488,3 @@ func MustNewMachine(cfg MachineConfig) *Machine {
 
 // Run advances the machine's clock to t.
 func (m *Machine) Run(t sim.Time) { m.Eng.RunUntil(t) }
-
-// RunFor advances the machine's clock by d from wherever it stands now —
-// the window-stepping the fleet's full-fidelity hosts use to sample one
-// steady-state window per tick instead of simulating the whole tick.
-func (m *Machine) RunFor(d sim.Time) { m.Eng.RunUntil(m.Eng.Now() + d) }

@@ -24,9 +24,6 @@ func New(kp, ki, kd, setpoint, outMin, outMax float64) *PID {
 	return &PID{kp: kp, ki: ki, kd: kd, setpoint: setpoint, outMin: outMin, outMax: outMax}
 }
 
-// SetPoint changes the target.
-func (p *PID) SetPoint(v float64) { p.setpoint = v }
-
 // Update feeds a measurement taken dt seconds after the previous one and
 // returns the new control output.
 func (p *PID) Update(measured, dt float64) float64 {

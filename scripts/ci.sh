@@ -104,9 +104,12 @@ echo "== perfbench self-tests (benchmark metrics, output checks, digest pins)"
 # self-tests run every workload briefly and hold the output digests.
 make perfbench-test
 
-echo "== cmd exit codes (errors must exit non-zero)"
+echo "== cmd exit codes (errors must exit non-zero, without a panic)"
 # Every tool must fail loudly on bad input; a zero exit here is a
-# regression that silently greenlights broken CI pipelines.
+# regression that silently greenlights broken CI pipelines. A panic exits
+# non-zero too, so each case's stderr is checked for one: bad input gets
+# a "<tool>: ..." message, not a stack trace.
+badtrace=$(mktemp)
 for bad in \
 	"./cmd/iocost-sim -device nosuch" \
 	"./cmd/iocost-sim -faults bogus" \
@@ -133,12 +136,26 @@ for bad in \
 	"./cmd/iocost-fleet -measure -trials -1" \
 	"./cmd/iocost-fleet -trials 2" \
 	"./cmd/iocost-tune -device nosuch" \
-	"./cmd/iocost-tune -device hdd -scenario fleet-a"; do
-	if go run $bad >/dev/null 2>&1; then
+	"./cmd/iocost-tune -device hdd -scenario fleet-a" \
+	"./cmd/iocost-sim -hi-weight 0" \
+	"./cmd/iocost-monitor -lo-weight -5" \
+	"./cmd/iocost-sim -depth 0" \
+	"./cmd/iocost-sim -size 0" \
+	"./cmd/iocost-sim -seconds -1" \
+	"./cmd/iocost-trace capture -controller nosuch -o $badtrace"; do
+	if stderr=$(go run $bad 2>&1 >/dev/null); then
 		echo "FAIL: 'go run $bad' exited zero"
 		exit 1
 	fi
+	case $stderr in
+	*"panic:"*)
+		echo "FAIL: 'go run $bad' panicked:"
+		echo "$stderr"
+		exit 1
+		;;
+	esac
 done
+rm -f "$badtrace"
 
 echo "== bench json (engine + trace + whole-stack hot paths, quick pass)"
 # A 10x pass proves the benchmark-to-JSON pipeline; the committed
